@@ -182,6 +182,7 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "stage.honeyfarm",
         "stage.quadrants",
         "stage.distributions",
+        "stage.fig2",
         "stage.peaks",
         "stage.curves",
         "stage.fits",
@@ -193,6 +194,7 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "core.degrees",
         "core.binning",
         "core.zm_fit",
+        "core.tail_fit",
         "core.peak_correlation",
         "core.temporal_curves",
         "core.fit_curves",

@@ -47,7 +47,10 @@ pub fn binned_distribution(
         obscor_obs::counter("core.zm_fit.fits_total").inc();
         fit_zipf_mandelbrot(&binned, d_max.max(2), &config.zm_alphas, &config.zm_deltas)
     };
-    let tail_fit = fit_power_law(&raw, 50);
+    let tail_fit = {
+        let _span = obscor_obs::span("core.tail_fit");
+        fit_power_law(&raw, 50)
+    };
     DegreeDistribution { window_label: label.to_string(), binned, d_max, fit, tail_fit }
 }
 

@@ -320,6 +320,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         Some(m) => {
             use crate::distribution::binned_distribution;
             use obscor_hypersparse::reduce;
+            let _s = obscor_obs::span("stage.fig2");
             let label = &windows[0].label;
             vec![
                 (

@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 80] = [
+const PINNED_NAMES: [&str; 84] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -56,6 +56,8 @@ const PINNED_NAMES: [&str; 80] = [
     "span.core.fit_curves.ns",
     "span.core.peak_correlation.calls_total",
     "span.core.peak_correlation.ns",
+    "span.core.tail_fit.calls_total",
+    "span.core.tail_fit.ns",
     "span.core.temporal_curves.calls_total",
     "span.core.temporal_curves.ns",
     "span.core.zm_fit.calls_total",
@@ -76,6 +78,8 @@ const PINNED_NAMES: [&str; 80] = [
     "span.stage.degrees.ns",
     "span.stage.distributions.calls_total",
     "span.stage.distributions.ns",
+    "span.stage.fig2.calls_total",
+    "span.stage.fig2.ns",
     "span.stage.fits.calls_total",
     "span.stage.fits.ns",
     "span.stage.honeyfarm.calls_total",
