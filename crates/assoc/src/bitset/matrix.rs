@@ -47,20 +47,29 @@ impl MonthMatrix {
     }
 
     /// Build from already-compressed monthly sets, preserving order.
+    ///
+    /// A k-way merge over the months' chunk lists (each strictly
+    /// increasing in `hi`): every step takes the smallest `hi` at the head
+    /// of any month's remaining chunks and emits one entry holding, in
+    /// month order, every month whose head is that chunk.
+    /// O(distinct chunks × months); each month list is allocated at its
+    /// exact width.
     pub fn from_bit_sets(months: &[BitSet]) -> Self {
         let month_lens = months.iter().map(BitSet::len).collect();
-        // Gather every (hi, month) pair, then group by hi. Months are
-        // visited in index order so each chunk's month list arrives sorted.
+        let mut rest: Vec<&[(u16, Container)]> = months.iter().map(BitSet::chunks).collect();
         let mut chunks: Vec<ChunkEntry> = Vec::new();
-        for (m, set) in months.iter().enumerate() {
-            for (hi, c) in set.chunks() {
-                match chunks.binary_search_by_key(hi, |e| e.hi) {
-                    Ok(i) => chunks[i].months.push((m, c.clone())),
-                    Err(i) => {
-                        chunks.insert(i, ChunkEntry { hi: *hi, months: vec![(m, c.clone())] })
+        while let Some(hi) = rest.iter().filter_map(|r| r.first().map(|(h, _)| *h)).min() {
+            let width = rest.iter().filter(|r| r.first().is_some_and(|(h, _)| *h == hi)).count();
+            let mut entry = ChunkEntry { hi, months: Vec::with_capacity(width) };
+            for (m, r) in rest.iter_mut().enumerate() {
+                if let Some(((h, c), tail)) = r.split_first() {
+                    if *h == hi {
+                        entry.months.push((m, c.clone()));
+                        *r = tail;
                     }
                 }
             }
+            chunks.push(entry);
         }
         Self { chunks, month_lens }
     }
@@ -174,5 +183,11 @@ impl MonthMatrix {
             ));
         }
         Ok(())
+    }
+
+    /// Per-chunk layout `(hi, month list)` for cell-level unit checks.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u16, &Vec<(usize, Container)>)> {
+        self.chunks.iter().map(|e| (e.hi, &e.months))
     }
 }

@@ -302,6 +302,120 @@ fn month_matrix_sweep_equals_pairwise() {
     }
 }
 
+/// Deterministic 64-bit stream (splitmix64) for the full-space shapes.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One matrix cell: `(month, container kind, lows)`.
+type Cell = (usize, &'static str, Vec<u16>);
+
+/// Cell-level view of a matrix, one `(hi, cells)` entry per chunk.
+type Cells = Vec<(u16, Vec<Cell>)>;
+
+fn matrix_cells(mm: &MonthMatrix) -> Cells {
+    mm.entries()
+        .map(|(hi, months)| {
+            (hi, months.iter().map(|(m, c)| (*m, kind_name(c.kind()), c.to_vec())).collect())
+        })
+        .collect()
+}
+
+/// Naive reference: every month's chunks grouped by `hi` through a map,
+/// months visited in index order.
+fn reference_cells(months: &[BitSet]) -> Cells {
+    let mut by_hi: std::collections::BTreeMap<u16, Vec<Cell>> = std::collections::BTreeMap::new();
+    for (m, set) in months.iter().enumerate() {
+        for (hi, c) in set.chunks() {
+            by_hi.entry(*hi).or_default().push((m, kind_name(c.kind()), c.to_vec()));
+        }
+    }
+    by_hi.into_iter().collect()
+}
+
+/// Every structural property the pipeline relies on, for one month list:
+/// invariants, both constructors agreeing cell for cell with the naive
+/// grouping, month round-trips, exact-width month lists, and the sweep
+/// equal to pairwise intersections for each probe.
+fn assert_matrix_matches(months: &[NumKeySet], probes: &[NumKeySet]) {
+    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+    let mm = MonthMatrix::from_bit_sets(&sets);
+    mm.check_invariants().unwrap();
+    assert_eq!(mm.n_months(), months.len());
+    let cells = matrix_cells(&mm);
+    assert_eq!(cells, reference_cells(&sets));
+    assert_eq!(matrix_cells(&MonthMatrix::from_months(months)), cells);
+    for (hi, list) in mm.entries() {
+        assert_eq!(list.capacity(), list.len(), "chunk {hi}: month list over-allocated");
+    }
+    for (m, month) in months.iter().enumerate() {
+        assert_eq!(mm.month_len(m), month.len());
+        assert_eq!(mm.month_set(m).to_num_key_set(), *month, "month {m} round-trip");
+    }
+    for (p, probe) in probes.iter().enumerate() {
+        let counts = mm.overlap_counts(&BitSet::from_num_key_set(probe));
+        let pairwise: Vec<usize> = months.iter().map(|m| probe.overlap_count(m)).collect();
+        assert_eq!(counts, pairwise, "probe {p}");
+    }
+}
+
+#[test]
+fn month_matrix_honeyfarm_shape() {
+    // The honeyfarm's background rows are uniform over the whole u32
+    // space, 7k–33k keys a month, so each month touches most of the
+    // 65,536 chunks with one or two keys apiece. A shared pool stands in
+    // for the sources seen in several months.
+    let mut state = 42u64;
+    let pool: Vec<u32> = (0..4_000).map(|_| splitmix(&mut state) as u32).collect();
+    let months: Vec<NumKeySet> = (0..15usize)
+        .map(|m| {
+            let n = 7_012 + m * (33_306 - 7_012) / 14;
+            let background: Vec<u32> = (0..n).map(|_| splitmix(&mut state) as u32).collect();
+            let shared = pool.iter().copied().skip(m % 3).step_by(m % 4 + 1);
+            NumKeySet::from_iter(background.into_iter().chain(shared))
+        })
+        .collect();
+    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+    let distinct = reference_cells(&sets).len();
+    assert!(distinct > 60_000, "shape must cover most chunks, got {distinct}");
+
+    let probes = [
+        NumKeySet::from_iter(pool.iter().copied().step_by(2)),
+        NumKeySet::from_iter(
+            months[3].as_slice().iter().chain(months[11].as_slice().iter().step_by(5)).copied(),
+        ),
+        NumKeySet::from_iter((0..20_000).map(|_| splitmix(&mut state) as u32)),
+        NumKeySet::from_iter(0..200_000u32),
+        NumKeySet::new(),
+    ];
+    assert_matrix_matches(&months, &probes);
+}
+
+#[test]
+fn month_matrix_degenerate_month_lists() {
+    let mut state = 7u64;
+    let month = NumKeySet::from_iter((0..5_000).map(|_| splitmix(&mut state) as u32));
+    let probes = [month.clone(), NumKeySet::from_iter(0..100_000u32), NumKeySet::new()];
+
+    // No months at all, and only empty months: no chunks, zero counts.
+    assert_matrix_matches(&[], &probes);
+    assert_matrix_matches(&vec![NumKeySet::new(); 4], &probes);
+    // A single month: one single-month entry per chunk of that month.
+    assert_matrix_matches(std::slice::from_ref(&month), &probes);
+    // Identical months: every entry lists every month.
+    let same = vec![month.clone(); 15];
+    assert_matrix_matches(&same, &probes);
+    let mm = MonthMatrix::from_months(&same);
+    assert!(mm.entries().all(|(_, list)| list.len() == 15));
+    // Empty months interleaved with non-empty ones keep their indices.
+    let mixed = vec![NumKeySet::new(), month.clone(), NumKeySet::new(), month];
+    assert_matrix_matches(&mixed, &probes);
+}
+
 // --- metrics gating --------------------------------------------------------
 
 #[test]

@@ -8,7 +8,7 @@
 //! comparison — plus sustained `telescope::stream` throughput rows at
 //! several worker counts and the out-of-core fold's cost with its
 //! per-level merge timings — as `BENCH_ingest.json` (schema
-//! `obscor.bench.ingest.v4`, path override `OBSCOR_BENCH_INGEST_OUT`) —
+//! `obscor.bench.ingest.v5`, path override `OBSCOR_BENCH_INGEST_OUT`) —
 //! the before/after record DESIGN.md §12/§15/§16/§17 and CI's
 //! bench-smoke step point at.
 //!
@@ -17,6 +17,10 @@
 //! `temporal_sweep_pairwise_vs_month_matrix` at paper density) and a
 //! top-level `host_cpus` field so the streaming worker-scaling rows can
 //! be read against the parallelism the box actually had (DESIGN.md §15).
+//!
+//! v5 adds a top-level `month_matrix_build_ns`: the `MonthMatrix` build
+//! at the honeyfarm's full-space shape, which the
+//! `temporal_sweep_pairwise_vs_month_matrix` row (sweep only) leaves out.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
@@ -205,6 +209,21 @@ fn ingest_report(n_v: usize, seed: u64) {
         }),
     };
 
+    // 4d. The month matrix build itself, at the honeyfarm's shape: fifteen
+    //     months of 7k–33k uniform keys over the whole u32 space (the
+    //     background rows of `honeyfarm::monthly`), so most of the 65,536
+    //     chunks are occupied and chunk count, not key count, drives the
+    //     cost. The sweep row above times probes of a prebuilt matrix only.
+    let mut farm_rng = StdRng::seed_from_u64(seed ^ 0xfa53);
+    let farm_months: Vec<BitSet> = (0..15usize)
+        .map(|m| {
+            let n = 7_012 + m * (33_306 - 7_012) / 14;
+            BitSet::from_iter((0..n).map(|_| farm_rng.random::<u32>()))
+        })
+        .collect();
+    let month_matrix_build_ns =
+        median_ns(INGEST_REPS, || MonthMatrix::from_bit_sets(&farm_months));
+
     let comparisons = [
         compaction,
         cryptopan_scalar,
@@ -283,6 +302,7 @@ fn ingest_report(n_v: usize, seed: u64) {
     let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
     eprintln!("\n=== WINDOW INGEST FAST PATH (N_V = {n_v}, host_cpus = {host_cpus}) ===");
     eprintln!("memo_table_build {table_build_ns} ns");
+    eprintln!("month_matrix_build {month_matrix_build_ns} ns");
     for c in &comparisons {
         eprintln!(
             "{:<38} baseline {:>12} ns  fast {:>12} ns  speedup {:>7.2}x",
@@ -314,11 +334,12 @@ fn ingest_report(n_v: usize, seed: u64) {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"obscor.bench.ingest.v4\",\n");
+    json.push_str("  \"schema\": \"obscor.bench.ingest.v5\",\n");
     json.push_str(&format!("  \"n_v\": {n_v},\n"));
     json.push_str(&format!("  \"reps\": {INGEST_REPS},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!("  \"memo_table_build_ns\": {table_build_ns},\n"));
+    json.push_str(&format!("  \"month_matrix_build_ns\": {month_matrix_build_ns},\n"));
     json.push_str("  \"comparisons\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         json.push_str(&format!(

@@ -180,12 +180,14 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "stage.quantities",
         "stage.degrees",
         "stage.honeyfarm",
+        "stage.substrate",
         "stage.quadrants",
         "stage.distributions",
         "stage.fig2",
         "stage.peaks",
         "stage.curves",
         "stage.fits",
+        "stage.extensions",
         "telescope.capture_window",
         "telescope.build_matrix",
         "hypersparse.leaf_compact",

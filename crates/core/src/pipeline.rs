@@ -110,7 +110,8 @@ pub struct PaperAnalysis {
 ///    the Fig 1 quadrant check,
 /// 3. reduce to per-source degrees and deanonymize via the send-back
 ///    workflow,
-/// 4. observe the fifteen honeyfarm months,
+/// 4. observe the fifteen honeyfarm months and build their correlation
+///    substrate (compressed month sets and the month×source matrix),
 /// 5. per window: Fig 3 distribution + ZM fit, Fig 4 coeval correlation,
 ///    Figs 5/6 temporal curves,
 /// 6. fit every curve (Figs 5-8).
@@ -124,8 +125,6 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::gauge("config.window_count").set_max(scenario.caida_windows.len() as u64);
     obscor_obs::gauge("config.month_count").set_max(scenario.grid.len() as u64);
     obscor_obs::gauge("config.min_bin_sources").set_max(config.min_bin_sources as u64);
-
-    let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
 
     // 1-2. Capture and matrix per window.
     let windows = {
@@ -201,24 +200,26 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .add(matrices.iter().map(|m| m.nnz() as u64).sum());
     let quantities: Vec<(String, NetworkQuantities)> = {
         let _s = obscor_obs::span("stage.quantities");
-        windows
+        let quantities: Vec<(String, NetworkQuantities)> = windows
             .iter()
             .zip(&matrices)
             .map(|(w, m)| (w.label.clone(), NetworkQuantities::compute(m)))
-            .collect()
+            .collect();
+        if cfg!(any(debug_assertions, feature = "strict-invariants")) {
+            for (m, (label, q)) in matrices.iter().zip(&quantities) {
+                stage_check(label, m.check_invariants());
+                stage_check(label, q.check_invariants());
+            }
+        }
+        quantities
     };
     obscor_obs::counter("stage.quantities.computed_total").add(quantities.len() as u64);
-    if cfg!(any(debug_assertions, feature = "strict-invariants")) {
-        for (m, (label, q)) in matrices.iter().zip(&quantities) {
-            stage_check(label, m.check_invariants());
-            stage_check(label, q.check_invariants());
-        }
-    }
 
     // 3. Degrees through the anonymization workflow (reusing the
     // already-built matrices).
     let degrees: Vec<WindowDegrees> = {
         let _s = obscor_obs::span("stage.degrees");
+        let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
         windows
             .par_iter()
             .zip(&matrices)
@@ -240,6 +241,9 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .iter()
         .map(|m| GreyNoiseInventoryRow { label: m.label.clone(), sources: m.n_sources() })
         .collect();
+    // The monthly correlation substrate: key sets, their numeric and
+    // compressed mirrors, and the month matrix, with their checks.
+    let _substrate_span = obscor_obs::span("stage.substrate");
     let monthly_sources: Vec<KeySet> =
         months.iter().map(|m| m.source_keys().clone()).collect();
     // Numeric mirror of the monthly key sets, converted once. `None`
@@ -280,6 +284,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             }
         }
     }
+    drop(_substrate_span);
 
     // Fig 1 quadrant occupancy.
     let _quadrant_span = obscor_obs::span("stage.quadrants");
@@ -400,6 +405,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     };
     obscor_obs::counter("stage.fits.fitted_total").add(fits.len() as u64);
 
+    let _extensions_span = obscor_obs::span("stage.extensions");
     // Enrichment-aware extension: class split of the coeval overlap.
     let class_structure: Vec<ClassCorrelation> =
         degrees.iter().map(|wd| class_correlation(wd, &months[wd.month])).collect();
@@ -422,6 +428,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             (wd.label.clone(), rows)
         })
         .collect();
+    drop(_extensions_span);
 
     // Close the whole-run span, then freeze this run's metric delta.
     drop(pipeline_span);

@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 84] = [
+const PINNED_NAMES: [&str; 88] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -78,6 +78,8 @@ const PINNED_NAMES: [&str; 84] = [
     "span.stage.degrees.ns",
     "span.stage.distributions.calls_total",
     "span.stage.distributions.ns",
+    "span.stage.extensions.calls_total",
+    "span.stage.extensions.ns",
     "span.stage.fig2.calls_total",
     "span.stage.fig2.ns",
     "span.stage.fits.calls_total",
@@ -92,6 +94,8 @@ const PINNED_NAMES: [&str; 84] = [
     "span.stage.quadrants.ns",
     "span.stage.quantities.calls_total",
     "span.stage.quantities.ns",
+    "span.stage.substrate.calls_total",
+    "span.stage.substrate.ns",
     "span.telescope.build_matrix.calls_total",
     "span.telescope.build_matrix.ns",
     "span.telescope.capture_all_windows.calls_total",
