@@ -686,7 +686,7 @@ impl Container {
 }
 
 /// Linear-merge overlap count of two sorted arrays, galloping through the
-/// larger when the sizes are badly skewed (mirrors `NumKeySet`).
+/// larger when the sizes differ by 16× or more.
 fn overlap_array_array(a: &[u16], b: &[u16]) -> usize {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {

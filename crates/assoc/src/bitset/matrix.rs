@@ -15,7 +15,6 @@
 
 use super::container::Container;
 use super::{metrics, BitSet};
-use crate::keys::NumKeySet;
 
 /// Per-chunk slice of the matrix: which months occupy this chunk, and
 /// with which container.
@@ -40,13 +39,7 @@ pub struct MonthMatrix {
 }
 
 impl MonthMatrix {
-    /// Build from the monthly source sets, preserving month order.
-    pub fn from_months(months: &[NumKeySet]) -> Self {
-        let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
-        Self::from_bit_sets(&sets)
-    }
-
-    /// Build from already-compressed monthly sets, preserving order.
+    /// Build from the compressed monthly sets, preserving month order.
     ///
     /// A k-way merge over the months' chunk lists (each strictly
     /// increasing in `hi`): every step takes the smallest `hi` at the head
@@ -89,7 +82,7 @@ impl MonthMatrix {
     /// Merge-joins the probe's chunks against the matrix's chunks; each
     /// matched chunk scores the probe container once per month present in
     /// that chunk. Every count is the exact integer the pairwise
-    /// `NumKeySet` intersections would produce.
+    /// [`BitSet::overlap_count`]s would produce.
     pub fn overlap_counts(&self, probe: &BitSet) -> Vec<usize> {
         let mut counts = vec![0usize; self.month_lens.len()];
         let probe_chunks = probe.chunks();

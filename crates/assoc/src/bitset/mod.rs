@@ -6,9 +6,10 @@
 //! container forms is cheapest for its density (sorted array, packed
 //! 1024-word bitmap, or run intervals — see [`container`]). On dense
 //! chunks, intersection and overlap counting become word-parallel
-//! `AND` + popcount over `u64` words; on sparse chunks they stay the
-//! merge/gallop the rest of the repo's `NumKeySet` uses, so the hybrid
-//! never loses to either pure form.
+//! `AND` + popcount over `u64` words; on sparse chunks they stay a
+//! sorted-array merge/gallop, so the hybrid never loses to either pure
+//! form. This is the only set-overlap engine the correlation stages use;
+//! D4M key sets enter it through [`BitSet::from_ip_keys`].
 //!
 //! [`MonthMatrix`] (in [`matrix`]) layers a month×source membership
 //! matrix on the same containers so the temporal-curve analysis counts a
@@ -18,9 +19,10 @@
 //!
 //! Every count is an exact integer no matter which container forms meet;
 //! [`BitSet::overlap_fraction`] divides the same two integers as
-//! `NumKeySet::overlap_fraction`, so the resulting `f64` is bit-identical
-//! to the sorted-vector path (and, transitively, to the string oracle).
-//! The differential suites in `tests/` and `crates/assoc/tests/` pin this.
+//! [`KeySet::overlap_fraction`] on the canonical `ip_key` spellings, so the
+//! resulting `f64` is bit-identical to the string set algebra. The
+//! differential suites in `crates/assoc/tests/` (against `BTreeSet<u32>`)
+//! and `crates/core` (against `KeySet`) pin this.
 //!
 //! # Metrics (opt-in)
 //!
@@ -36,7 +38,8 @@ mod matrix;
 
 pub use matrix::MonthMatrix;
 
-use crate::keys::NumKeySet;
+use crate::convert::parse_ip_key;
+use crate::keys::KeySet;
 use container::Container;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -108,9 +111,10 @@ fn join(hi: u16, lo: u16) -> u32 {
 
 /// A roaring-style compressed set of `u32` keys.
 ///
-/// Semantically identical to [`NumKeySet`] — same keys, same counts, same
-/// overlap fractions bit-for-bit — but with density-adaptive physical
-/// containers that make dense-set intersection word-parallel.
+/// Semantically a sorted set of unique `u32`s — same keys, same counts,
+/// same overlap fractions bit-for-bit as a sorted vector — but with
+/// density-adaptive physical containers that make dense-set intersection
+/// word-parallel.
 #[derive(Clone, Debug, Default)]
 pub struct BitSet {
     /// Non-empty chunks in strictly increasing `hi` order.
@@ -156,18 +160,17 @@ impl BitSet {
         Self { chunks }
     }
 
-    /// Intern a [`NumKeySet`] (already sorted unique).
-    pub fn from_num_key_set(ks: &NumKeySet) -> Self {
-        Self::from_sorted_unique(ks.as_slice())
-    }
-
-    /// Render back to the sorted-vector domain.
-    pub fn to_num_key_set(&self) -> NumKeySet {
-        let mut keys = Vec::with_capacity(self.len());
-        for (hi, c) in &self.chunks {
-            c.for_each_key(|lo| keys.push(join(*hi, lo)));
-        }
-        NumKeySet::from_sorted_unique(keys)
+    /// The addresses whose canonical [`crate::convert::ip_key`] spelling
+    /// is in `keys` — the one place a D4M key set becomes an address set.
+    ///
+    /// Any other key (a non-padded dotted quad, a label) can never equal
+    /// a window's source key, so skipping it is exact: overlap counts
+    /// against the result equal the [`KeySet`] string intersections.
+    /// Canonical keys are zero-padded, so they arrive in numeric order
+    /// and need no sort.
+    pub fn from_ip_keys(keys: &KeySet) -> Self {
+        let ips: Vec<u32> = keys.iter().filter_map(parse_ip_key).collect();
+        Self::from_sorted_unique(&ips)
     }
 
     /// Number of keys.
@@ -343,8 +346,8 @@ impl BitSet {
 
     /// The fraction of `self`'s keys also present in `other` — the
     /// paper's correlation measure. `None` for an empty `self`.
-    /// Bit-identical to [`NumKeySet::overlap_fraction`]: same two integer
-    /// operands, same single `f64` division.
+    /// Bit-identical to [`KeySet::overlap_fraction`] on the canonical key
+    /// spellings: same two integer operands, same single `f64` division.
     pub fn overlap_fraction(&self, other: &BitSet) -> Option<f64> {
         if self.is_empty() {
             return None;

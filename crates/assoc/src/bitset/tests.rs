@@ -12,11 +12,29 @@ mod suite {
 
 use crate::bitset::container::{Container, ARRAY_MAX, BITMAP_MIN};
 use crate::bitset::{metrics, BitSet, MonthMatrix};
-use crate::keys::NumKeySet;
+use std::collections::BTreeSet;
 
 /// Keys that land entirely in chunk 0 with the given lows.
 fn set_of(lows: &[u32]) -> BitSet {
     BitSet::from_iter(lows.iter().copied())
+}
+
+/// The sorted-vector reference: keys sorted and deduplicated.
+fn sorted(keys: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    keys.into_iter().collect::<BTreeSet<u32>>().into_iter().collect()
+}
+
+/// Reference `|a ∩ b|` over sorted vectors.
+fn common(a: &[u32], b: &[u32]) -> usize {
+    a.iter().filter(|k| b.binary_search(k).is_ok()).count()
+}
+
+fn bits(keys: &[u32]) -> BitSet {
+    BitSet::from_sorted_unique(keys)
+}
+
+fn keys_of(s: &BitSet) -> Vec<u32> {
+    s.iter().collect()
 }
 
 fn kind_name(k: metrics::Kind) -> &'static str {
@@ -54,10 +72,10 @@ fn bitset_constructors_uphold_invariants() {
     b.check_invariants().unwrap();
     assert_eq!(b.len(), 5);
 
-    let n = NumKeySet::from_iter([9u32, 7, 7, 1 << 17]);
-    let c = BitSet::from_num_key_set(&n);
+    let n = sorted([9u32, 7, 7, 1 << 17]);
+    let c = bits(&n);
     c.check_invariants().unwrap();
-    assert_eq!(c.to_num_key_set(), n);
+    assert_eq!(keys_of(&c), n);
 
     // Collected form too.
     let d: BitSet = [3u32, 1].into_iter().collect();
@@ -65,24 +83,34 @@ fn bitset_constructors_uphold_invariants() {
 }
 
 #[test]
+fn from_ip_keys_keeps_exactly_the_canonical_spellings() {
+    use crate::convert::ip_key;
+    use crate::keys::KeySet;
+    let canonical = [0u32, 0x0102_0304, 0x0A00_0001, 0x0A01_0000, u32::MAX];
+    let mut keys: Vec<String> = canonical.iter().map(|&ip| ip_key(ip)).collect();
+    // Spellings of other addresses that `ip_key` never renders.
+    keys.extend(["1.2.3.5", "+1.2.3.6", "010.000.000.02", "scanner-x", ""].map(String::from));
+    let s = BitSet::from_ip_keys(&keys.into_iter().collect::<KeySet>());
+    s.check_invariants().unwrap();
+    assert_eq!(keys_of(&s), canonical);
+    assert!(BitSet::from_ip_keys(&KeySet::new()).is_empty());
+}
+
+#[test]
 fn month_matrix_constructors_uphold_invariants() {
-    let months: Vec<NumKeySet> = (0..4)
-        .map(|m| NumKeySet::from_iter((0..100u32).map(|i| i * (m + 2) + (m << 16))))
-        .collect();
-    let mm = MonthMatrix::from_months(&months);
+    let months: Vec<Vec<u32>> =
+        (0..4).map(|m| sorted((0..100u32).map(|i| i * (m + 2) + (m << 16)))).collect();
+    let sets: Vec<BitSet> = months.iter().map(|m| bits(m)).collect();
+    let mm = MonthMatrix::from_bit_sets(&sets);
     mm.check_invariants().unwrap();
     assert_eq!(mm.n_months(), 4);
-
-    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
-    let mm2 = MonthMatrix::from_bit_sets(&sets);
-    mm2.check_invariants().unwrap();
     for (m, month) in months.iter().enumerate() {
-        assert_eq!(mm2.month_len(m), month.len());
-        assert_eq!(mm2.month_set(m).to_num_key_set(), *month);
+        assert_eq!(mm.month_len(m), month.len());
+        assert_eq!(keys_of(&mm.month_set(m)), *month);
     }
 
     // Empty months are representable: no chunks, zero lens.
-    let empty = MonthMatrix::from_months(&[NumKeySet::new(), NumKeySet::new()]);
+    let empty = MonthMatrix::from_bit_sets(&[BitSet::new(), BitSet::new()]);
     empty.check_invariants().unwrap();
     assert_eq!(empty.month_len(0), 0);
     assert_eq!(empty.overlap_counts(&set_of(&[1, 2, 3])), vec![0, 0]);
@@ -153,11 +181,7 @@ fn hysteresis_demotes_below_bitmap_min() {
     assert_eq!(only_kind(&s), "array");
     assert_eq!(s.len(), BITMAP_MIN - 1);
     s.check_invariants().unwrap();
-    assert_eq!(
-        s.to_num_key_set().as_slice(),
-        &keys[1..BITMAP_MIN],
-        "demotion must preserve contents"
-    );
+    assert_eq!(keys_of(&s), &keys[1..BITMAP_MIN], "demotion must preserve contents");
 }
 
 #[test]
@@ -177,14 +201,14 @@ fn mutation_matches_rebuild_across_forms() {
     }
     s.optimize();
     s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
+    assert_eq!(keys_of(&s), sorted(model.iter().copied()));
     // Punch holes in the slab (runs must split) and re-verify.
     for k in (0..5000u32).step_by(3) {
         assert!(s.remove(k));
         model.retain(|&x| x != k);
     }
     s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
+    assert_eq!(keys_of(&s), sorted(model.iter().copied()));
     // Inserting into run gaps merges runs back.
     for k in (0..5000u32).step_by(3) {
         assert!(s.insert(k));
@@ -193,7 +217,7 @@ fn mutation_matches_rebuild_across_forms() {
     }
     s.optimize();
     s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
+    assert_eq!(keys_of(&s), sorted(model.iter().copied()));
 }
 
 // --- cross-form operation grid --------------------------------------------
@@ -212,24 +236,25 @@ fn form_zoo() -> Vec<(&'static str, BitSet)> {
 }
 
 #[test]
-fn operation_grid_matches_num_key_set() {
+fn operation_grid_matches_sorted_vectors() {
     let zoo = form_zoo();
     for (na, a) in &zoo {
-        let oa = a.to_num_key_set();
+        let oa = keys_of(a);
         for (nb, b) in &zoo {
-            let ob = b.to_num_key_set();
+            let ob = keys_of(b);
             let ctx = format!("{na} vs {nb}");
-            assert_eq!(a.overlap_count(b), oa.overlap_count(&ob), "overlap {ctx}");
-            assert_eq!(a.overlap_fraction(b), oa.overlap_fraction(&ob), "fraction {ctx}");
+            let count = common(&oa, &ob);
+            assert_eq!(a.overlap_count(b), count, "overlap {ctx}");
+            let fraction = (!oa.is_empty()).then(|| count as f64 / oa.len() as f64);
+            assert_eq!(a.overlap_fraction(b), fraction, "fraction {ctx}");
             let isect = a.intersect(b);
             isect.check_invariants().unwrap();
-            assert_eq!(isect.to_num_key_set(), oa.intersect(&ob), "intersect {ctx}");
+            let expect: Vec<u32> =
+                oa.iter().copied().filter(|k| ob.binary_search(k).is_ok()).collect();
+            assert_eq!(keys_of(&isect), expect, "intersect {ctx}");
             let un = a.union(b);
             un.check_invariants().unwrap();
-            let mut expect: Vec<u32> = oa.iter().chain(ob.iter()).collect();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(un.to_num_key_set().as_slice(), &expect[..], "union {ctx}");
+            assert_eq!(keys_of(&un), sorted(oa.iter().chain(&ob).copied()), "union {ctx}");
         }
     }
 }
@@ -252,16 +277,16 @@ fn rank_select_round_trip() {
 #[test]
 fn contains_and_membership_queries() {
     for (name, s) in form_zoo() {
-        let oracle = s.to_num_key_set();
+        let oracle: BTreeSet<u32> = s.iter().collect();
         // Probe members, near-misses, and chunk edges.
         let probes: Vec<u32> = oracle
             .iter()
             .take(50)
-            .flat_map(|k| [k, k.wrapping_add(1), k.wrapping_sub(1)])
+            .flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)])
             .chain([0, 65_535, 65_536, u32::MAX])
             .collect();
         for p in probes {
-            assert_eq!(s.contains(p), oracle.contains(p), "contains({p}) in {name}");
+            assert_eq!(s.contains(p), oracle.contains(&p), "contains({p}) in {name}");
         }
     }
 }
@@ -272,32 +297,32 @@ fn contains_and_membership_queries() {
 fn month_matrix_sweep_equals_pairwise() {
     // 15 months of mixed-density sets spanning several chunks, with
     // overlap structure (stride multiples share keys across months).
-    let months: Vec<NumKeySet> = (0..15usize)
+    let months: Vec<Vec<u32>> = (0..15usize)
         .map(|m| {
             let base = (m as u32 % 3) << 16;
             match m % 4 {
-                0 => NumKeySet::from_iter((0..4000u32).map(|i| base + i * 2)),
-                1 => NumKeySet::from_iter(base..base + 9000),
-                2 => NumKeySet::from_iter((0..500u32).map(|i| base + i * 131)),
-                _ => NumKeySet::new(),
+                0 => sorted((0..4000u32).map(|i| base + i * 2)),
+                1 => sorted(base..base + 9000),
+                2 => sorted((0..500u32).map(|i| base + i * 131)),
+                _ => Vec::new(),
             }
         })
         .collect();
-    let mm = MonthMatrix::from_months(&months);
+    let sets: Vec<BitSet> = months.iter().map(|m| bits(m)).collect();
+    let mm = MonthMatrix::from_bit_sets(&sets);
     mm.check_invariants().unwrap();
 
     let probes = [
-        NumKeySet::from_iter((0..3000u32).map(|i| i * 3)),
-        NumKeySet::from_iter(0..70_000u32),
-        NumKeySet::from_iter([5u32, 1 << 16, (2 << 16) + 4, 1 << 24]),
-        NumKeySet::new(),
+        sorted((0..3000u32).map(|i| i * 3)),
+        sorted(0..70_000u32),
+        sorted([5u32, 1 << 16, (2 << 16) + 4, 1 << 24]),
+        Vec::new(),
     ];
     for probe in &probes {
-        let bits = BitSet::from_num_key_set(probe);
-        let counts = mm.overlap_counts(&bits);
+        let counts = mm.overlap_counts(&bits(probe));
         assert_eq!(counts.len(), 15);
         for (m, month) in months.iter().enumerate() {
-            assert_eq!(counts[m], probe.overlap_count(month), "month {m}");
+            assert_eq!(counts[m], common(probe, month), "month {m}");
         }
     }
 }
@@ -338,27 +363,25 @@ fn reference_cells(months: &[BitSet]) -> Cells {
 }
 
 /// Every structural property the pipeline relies on, for one month list:
-/// invariants, both constructors agreeing cell for cell with the naive
+/// invariants, the k-way build agreeing cell for cell with the naive
 /// grouping, month round-trips, exact-width month lists, and the sweep
 /// equal to pairwise intersections for each probe.
-fn assert_matrix_matches(months: &[NumKeySet], probes: &[NumKeySet]) {
-    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+fn assert_matrix_matches(months: &[Vec<u32>], probes: &[Vec<u32>]) {
+    let sets: Vec<BitSet> = months.iter().map(|m| bits(m)).collect();
     let mm = MonthMatrix::from_bit_sets(&sets);
     mm.check_invariants().unwrap();
     assert_eq!(mm.n_months(), months.len());
-    let cells = matrix_cells(&mm);
-    assert_eq!(cells, reference_cells(&sets));
-    assert_eq!(matrix_cells(&MonthMatrix::from_months(months)), cells);
+    assert_eq!(matrix_cells(&mm), reference_cells(&sets));
     for (hi, list) in mm.entries() {
         assert_eq!(list.capacity(), list.len(), "chunk {hi}: month list over-allocated");
     }
     for (m, month) in months.iter().enumerate() {
         assert_eq!(mm.month_len(m), month.len());
-        assert_eq!(mm.month_set(m).to_num_key_set(), *month, "month {m} round-trip");
+        assert_eq!(keys_of(&mm.month_set(m)), *month, "month {m} round-trip");
     }
     for (p, probe) in probes.iter().enumerate() {
-        let counts = mm.overlap_counts(&BitSet::from_num_key_set(probe));
-        let pairwise: Vec<usize> = months.iter().map(|m| probe.overlap_count(m)).collect();
+        let counts = mm.overlap_counts(&bits(probe));
+        let pairwise: Vec<usize> = months.iter().map(|m| common(probe, m)).collect();
         assert_eq!(counts, pairwise, "probe {p}");
     }
 }
@@ -371,26 +394,24 @@ fn month_matrix_honeyfarm_shape() {
     // for the sources seen in several months.
     let mut state = 42u64;
     let pool: Vec<u32> = (0..4_000).map(|_| splitmix(&mut state) as u32).collect();
-    let months: Vec<NumKeySet> = (0..15usize)
+    let months: Vec<Vec<u32>> = (0..15usize)
         .map(|m| {
             let n = 7_012 + m * (33_306 - 7_012) / 14;
             let background: Vec<u32> = (0..n).map(|_| splitmix(&mut state) as u32).collect();
             let shared = pool.iter().copied().skip(m % 3).step_by(m % 4 + 1);
-            NumKeySet::from_iter(background.into_iter().chain(shared))
+            sorted(background.into_iter().chain(shared))
         })
         .collect();
-    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+    let sets: Vec<BitSet> = months.iter().map(|m| bits(m)).collect();
     let distinct = reference_cells(&sets).len();
     assert!(distinct > 60_000, "shape must cover most chunks, got {distinct}");
 
     let probes = [
-        NumKeySet::from_iter(pool.iter().copied().step_by(2)),
-        NumKeySet::from_iter(
-            months[3].as_slice().iter().chain(months[11].as_slice().iter().step_by(5)).copied(),
-        ),
-        NumKeySet::from_iter((0..20_000).map(|_| splitmix(&mut state) as u32)),
-        NumKeySet::from_iter(0..200_000u32),
-        NumKeySet::new(),
+        sorted(pool.iter().copied().step_by(2)),
+        sorted(months[3].iter().chain(months[11].iter().step_by(5)).copied()),
+        sorted((0..20_000).map(|_| splitmix(&mut state) as u32)),
+        sorted(0..200_000u32),
+        Vec::new(),
     ];
     assert_matrix_matches(&months, &probes);
 }
@@ -398,21 +419,22 @@ fn month_matrix_honeyfarm_shape() {
 #[test]
 fn month_matrix_degenerate_month_lists() {
     let mut state = 7u64;
-    let month = NumKeySet::from_iter((0..5_000).map(|_| splitmix(&mut state) as u32));
-    let probes = [month.clone(), NumKeySet::from_iter(0..100_000u32), NumKeySet::new()];
+    let month = sorted((0..5_000).map(|_| splitmix(&mut state) as u32));
+    let probes = [month.clone(), sorted(0..100_000u32), Vec::new()];
 
     // No months at all, and only empty months: no chunks, zero counts.
     assert_matrix_matches(&[], &probes);
-    assert_matrix_matches(&vec![NumKeySet::new(); 4], &probes);
+    assert_matrix_matches(&vec![Vec::new(); 4], &probes);
     // A single month: one single-month entry per chunk of that month.
     assert_matrix_matches(std::slice::from_ref(&month), &probes);
     // Identical months: every entry lists every month.
     let same = vec![month.clone(); 15];
     assert_matrix_matches(&same, &probes);
-    let mm = MonthMatrix::from_months(&same);
+    let sets: Vec<BitSet> = same.iter().map(|m| bits(m)).collect();
+    let mm = MonthMatrix::from_bit_sets(&sets);
     assert!(mm.entries().all(|(_, list)| list.len() == 15));
     // Empty months interleaved with non-empty ones keep their indices.
-    let mixed = vec![NumKeySet::new(), month.clone(), NumKeySet::new(), month];
+    let mixed = vec![Vec::new(), month.clone(), Vec::new(), month];
     assert_matrix_matches(&mixed, &probes);
 }
 

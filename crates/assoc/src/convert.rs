@@ -20,19 +20,34 @@ pub fn ip_key(ip: Index) -> String {
     )
 }
 
-/// Parse a dotted-quad key produced by [`ip_key`] (zero-padded or not).
+/// Parse a key in exactly the spelling [`ip_key`] renders: 15 bytes, four
+/// zero-padded three-digit octets (each at most 255) joined by dots.
+///
+/// Any other spelling (`"1.2.3.4"`, `"+1.2.3.4"`, `"001.002.003.04"`)
+/// is `None`. Such a key can never equal a window's source key under
+/// [`KeySet`] string semantics, so every numeric path that parses with
+/// this function agrees with the string set algebra. Does not allocate.
 pub fn parse_ip_key(key: &str) -> Option<Index> {
-    let mut parts = key.split('.');
+    let bytes = key.as_bytes();
+    if bytes.len() != 15 {
+        return None;
+    }
     let mut ip: u32 = 0;
-    for _ in 0..4 {
-        let octet: u32 = parts.next()?.parse().ok()?;
-        if octet > 255 {
+    for (i, octet) in bytes.chunks(4).enumerate() {
+        if i < 3 && octet[3] != b'.' {
             return None;
         }
-        ip = (ip << 8) | octet;
-    }
-    if parts.next().is_some() {
-        return None;
+        let mut value: u32 = 0;
+        for &b in &octet[..3] {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            value = value * 10 + u32::from(b - b'0');
+        }
+        if value > 255 {
+            return None;
+        }
+        ip = (ip << 8) | value;
     }
     Some(ip)
 }
@@ -79,11 +94,24 @@ mod tests {
         for ip in [0u32, 1, 0xFFFFFFFF, 0xC0A80001, 16843009] {
             assert_eq!(parse_ip_key(&ip_key(ip)), Some(ip));
         }
-        assert_eq!(parse_ip_key("1.2.3.4"), Some(0x01020304));
+        // Only the canonical zero-padded spelling parses: a non-padded key
+        // never equals an `ip_key` string, so it must not alias one.
+        assert_eq!(parse_ip_key("1.2.3.4"), None);
+        assert_eq!(parse_ip_key("+1.2.3.4"), None);
+        assert_eq!(parse_ip_key("001.002.003.04"), None);
+        assert_eq!(parse_ip_key("001.002.003.0004"), None);
+        assert_eq!(parse_ip_key("001.002.003.+04"), None);
+        assert_eq!(parse_ip_key("001-002-003-004"), None);
+        assert_eq!(parse_ip_key("256.000.000.001"), None);
+        assert_eq!(parse_ip_key("001.002.003.256"), None);
         assert_eq!(parse_ip_key("256.0.0.1"), None);
         assert_eq!(parse_ip_key("1.2.3"), None);
         assert_eq!(parse_ip_key("1.2.3.4.5"), None);
         assert_eq!(parse_ip_key("a.b.c.d"), None);
+        assert_eq!(parse_ip_key("aaa.bbb.ccc.ddd"), None);
+        assert_eq!(parse_ip_key(""), None);
+        // Multi-byte UTF-8 of the right byte length is rejected, not split.
+        assert_eq!(parse_ip_key("001.002.003.0é"), None);
     }
 
     #[test]

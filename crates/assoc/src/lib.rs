@@ -38,7 +38,7 @@ pub mod keys;
 
 pub use array::Assoc;
 pub use bitset::{BitSet, MonthMatrix};
-pub use keys::{KeySet, NumKeySet};
+pub use keys::KeySet;
 
 /// Associative array with `f64` values (the D4M numeric convention).
 pub type NumAssoc = Assoc<f64>;

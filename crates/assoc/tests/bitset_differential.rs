@@ -1,19 +1,19 @@
-//! Differential properties: `BitSet ≡ NumKeySet ≡ string-key oracle`.
+//! Differential properties: `BitSet ≡ BTreeSet<u32>`.
 //!
 //! Every public operation of the compressed bitmap substrate is compared
-//! against the sorted-`Vec<u32>` [`NumKeySet`] and, through
-//! [`NumKeySet::to_key_set`], the string-keyed [`KeySet`] oracle — over
-//! random density regimes and the adversarial shapes that sit on the
-//! container representation boundaries (empty, singleton, dense runs,
-//! full chunks, the array→bitmap promotion edge). Fractions must match
-//! *bit for bit*, not approximately: the fast path divides the same two
-//! integers as the oracles.
+//! against a plain `BTreeSet<u32>` reference over random density regimes
+//! and the adversarial shapes that sit on the container representation
+//! boundaries (empty, singleton, dense runs, full chunks, the
+//! array→bitmap promotion edge). Fractions must match *bit for bit*, not
+//! approximately: both sides divide the same two integers.
 //!
 //! Replay seeds live in `proptest-regressions/bitset_differential.txt`.
 
-use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
+use obscor_assoc::convert::ip_key;
+use obscor_assoc::{BitSet, KeySet, MonthMatrix};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::collections::BTreeSet;
 
 /// One random set in a density regime chosen by `shape`, as sorted
 /// unique keys. The regimes deliberately include every container form
@@ -64,59 +64,63 @@ fn gen_keys(rng: &mut StdRng, shape: u32) -> Vec<u32> {
     keys
 }
 
-/// All three representations of one key list.
-fn triplet(keys: &[u32]) -> (BitSet, NumKeySet, KeySet) {
-    let num = NumKeySet::from_iter(keys.iter().copied());
-    let bits = BitSet::from_num_key_set(&num);
-    let strs = num.to_key_set();
-    (bits, num, strs)
+/// A key list as the bitmap under test and the `BTreeSet` reference.
+fn pair(keys: &[u32]) -> (BitSet, BTreeSet<u32>) {
+    (BitSet::from_sorted_unique(keys), keys.iter().copied().collect())
+}
+
+/// The reference overlap fraction: `|a ∩ b| / |a|`, `None` for empty `a`.
+fn fraction(a: &BTreeSet<u32>, b: &BTreeSet<u32>) -> Option<f64> {
+    (!a.is_empty()).then(|| a.intersection(b).count() as f64 / a.len() as f64)
 }
 
 proptest! {
     /// Overlap count, overlap fraction (bit-identical `f64`), intersect,
-    /// and union agree with both oracles across random density pairings.
+    /// and union agree with the reference across random density pairings.
     #[test]
     fn random_density_sets_agree_with_oracles(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let shape_a = rng.random_range(0u32..8);
         let shape_b = rng.random_range(0u32..8);
-        let (ba, na, sa) = triplet(&gen_keys(&mut rng, shape_a));
-        let (bb, nb, sb) = triplet(&gen_keys(&mut rng, shape_b));
+        let (ba, ra) = pair(&gen_keys(&mut rng, shape_a));
+        let (bb, rb) = pair(&gen_keys(&mut rng, shape_b));
         ba.check_invariants().unwrap();
         bb.check_invariants().unwrap();
-        prop_assert_eq!(ba.len(), na.len());
-        prop_assert_eq!(ba.overlap_count(&bb), na.overlap_count(&nb));
-        prop_assert_eq!(ba.overlap_count(&bb), sa.intersect(&sb).len());
-        // Fractions bit-identical through both oracles.
-        prop_assert_eq!(ba.overlap_fraction(&bb), na.overlap_fraction(&nb));
-        prop_assert_eq!(ba.overlap_fraction(&bb), sa.overlap_fraction(&sb));
+        prop_assert_eq!(ba.len(), ra.len());
+        prop_assert_eq!(ba.overlap_count(&bb), ra.intersection(&rb).count());
+        // Fractions bit-identical to the reference division.
+        prop_assert_eq!(ba.overlap_fraction(&bb), fraction(&ra, &rb));
         // Materialized set algebra.
         let isect = ba.intersect(&bb);
         isect.check_invariants().unwrap();
-        prop_assert_eq!(isect.to_num_key_set(), na.intersect(&nb));
-        prop_assert_eq!(isect.to_num_key_set().to_key_set(), sa.intersect(&sb));
+        prop_assert!(isect.iter().eq(ra.intersection(&rb).copied()));
         let un = ba.union(&bb);
         un.check_invariants().unwrap();
-        prop_assert_eq!(un.to_num_key_set().to_key_set(), sa.union(&sb));
+        prop_assert!(un.iter().eq(ra.union(&rb).copied()));
         // Inclusion-exclusion ties all four numbers together.
         prop_assert_eq!(un.len() + isect.len(), ba.len() + bb.len());
     }
 
-    /// Round trip through the sorted-vector and string domains is lossless.
+    /// Round trips through the key list and the canonical string domain
+    /// are lossless.
     #[test]
     fn round_trips_are_lossless(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let shape = rng.random_range(0u32..8);
-        let (bits, num, strs) = triplet(&gen_keys(&mut rng, shape));
-        prop_assert_eq!(bits.to_num_key_set(), num.clone());
-        prop_assert_eq!(BitSet::from_num_key_set(&bits.to_num_key_set()).to_num_key_set(), num);
-        prop_assert_eq!(bits.to_num_key_set().to_key_set(), strs);
+        let (bits, reference) = pair(&gen_keys(&mut rng, shape));
+        prop_assert!(bits.iter().eq(reference.iter().copied()));
+        let keys: Vec<u32> = bits.iter().collect();
+        prop_assert!(BitSet::from_sorted_unique(&keys).iter().eq(bits.iter()));
+        let strings: KeySet = keys.iter().map(|&k| ip_key(k)).collect();
+        let via_strings = BitSet::from_ip_keys(&strings);
+        via_strings.check_invariants().unwrap();
+        prop_assert!(via_strings.iter().eq(bits.iter()));
         // from_iter over shuffled duplicates builds the same set.
         let mut noisy: Vec<u32> = bits.iter().collect();
         noisy.extend(bits.iter().take(10));
         let rebuilt = BitSet::from_iter(noisy);
         rebuilt.check_invariants().unwrap();
-        prop_assert_eq!(rebuilt.to_num_key_set(), bits.to_num_key_set());
+        prop_assert!(rebuilt.iter().eq(bits.iter()));
     }
 
     /// Random insert/remove streams match a `BTreeSet` model, with
@@ -126,7 +130,7 @@ proptest! {
     fn mutation_stream_matches_model(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut bits = BitSet::new();
-        let mut model = std::collections::BTreeSet::new();
+        let mut model = BTreeSet::new();
         // Concentrate keys in two chunks so containers actually cross the
         // promotion/demotion thresholds during the stream.
         for step in 0..rng.random_range(500u32..6000) {
@@ -162,7 +166,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let shape = rng.random_range(0u32..8);
         let keys = gen_keys(&mut rng, shape);
-        let (bits, _, _) = triplet(&keys);
+        let bits = BitSet::from_sorted_unique(&keys);
         // Every 37th member plus random probes (members or not).
         for (i, &k) in keys.iter().enumerate().step_by(37) {
             prop_assert_eq!(bits.rank(k), i);
@@ -181,26 +185,25 @@ proptest! {
     fn month_matrix_sweep_matches_pairwise(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_months = rng.random_range(1u32..16) as usize;
-        let months: Vec<NumKeySet> = (0..n_months)
+        let months: Vec<(BitSet, BTreeSet<u32>)> = (0..n_months)
             .map(|_| {
                 let shape = rng.random_range(0u32..8);
-                NumKeySet::from_iter(gen_keys(&mut rng, shape))
+                pair(&gen_keys(&mut rng, shape))
             })
             .collect();
-        let mm = MonthMatrix::from_months(&months);
+        let sets: Vec<BitSet> = months.iter().map(|(b, _)| b.clone()).collect();
+        let mm = MonthMatrix::from_bit_sets(&sets);
         mm.check_invariants().unwrap();
         prop_assert_eq!(mm.n_months(), n_months);
-        for (m, month) in months.iter().enumerate() {
+        for (m, (_, month)) in months.iter().enumerate() {
             prop_assert_eq!(mm.month_len(m), month.len());
         }
         for _ in 0..3 {
             let shape = rng.random_range(0u32..8);
-            let probe_keys = gen_keys(&mut rng, shape);
-            let probe_num = NumKeySet::from_iter(probe_keys.iter().copied());
-            let probe = BitSet::from_num_key_set(&probe_num);
+            let (probe, reference) = pair(&gen_keys(&mut rng, shape));
             let counts = mm.overlap_counts(&probe);
-            for (m, month) in months.iter().enumerate() {
-                prop_assert_eq!(counts[m], probe_num.overlap_count(month));
+            for (m, (_, month)) in months.iter().enumerate() {
+                prop_assert_eq!(counts[m], reference.intersection(month).count());
             }
         }
     }

@@ -2,29 +2,27 @@
 //! codec at capture rates — and the window-ingest fast-path report.
 //!
 //! Before the criterion benches run, this binary times each ingest
-//! fast path against the differential oracle it replaced (serial sort
-//! compaction vs the radix kernel, uncached CryptoPAN vs the memoized
-//! prefix table, string key sets vs numeric key sets) and writes the
-//! comparison — plus sustained `telescope::stream` throughput rows at
-//! several worker counts and the out-of-core fold's cost with its
-//! per-level merge timings — as `BENCH_ingest.json` (schema
-//! `obscor.bench.ingest.v5`, path override `OBSCOR_BENCH_INGEST_OUT`) —
-//! the before/after record DESIGN.md §12/§15/§16/§17 and CI's
-//! bench-smoke step point at.
+//! fast path against the reference it replaced (serial sort compaction
+//! vs the radix kernel, uncached CryptoPAN vs the memoized prefix table)
+//! and writes the comparison — plus the month matrix build, sustained
+//! `telescope::stream` throughput rows at several worker counts and the
+//! out-of-core fold's cost with its per-level merge timings — as
+//! `BENCH_ingest.json` (schema `obscor.bench.ingest.v6`, path override
+//! `OBSCOR_BENCH_INGEST_OUT`) — the before/after record DESIGN.md
+//! §12/§15/§16/§17 and CI's bench-smoke step point at.
 //!
-//! v4 adds the compressed-bitmap rows (`overlap_fraction_numeric_vs_
-//! bitmap` at fixture scale, `overlap_count_numeric_vs_bitmap_dense` and
-//! `temporal_sweep_pairwise_vs_month_matrix` at paper density) and a
-//! top-level `host_cpus` field so the streaming worker-scaling rows can
-//! be read against the parallelism the box actually had (DESIGN.md §15).
+//! v4 added a top-level `host_cpus` field so the streaming
+//! worker-scaling rows can be read against the parallelism the box
+//! actually had (DESIGN.md §15); v5 a top-level `month_matrix_build_ns`,
+//! the `MonthMatrix` build at the honeyfarm's full-space shape.
 //!
-//! v5 adds a top-level `month_matrix_build_ns`: the `MonthMatrix` build
-//! at the honeyfarm's full-space shape, which the
-//! `temporal_sweep_pairwise_vs_month_matrix` row (sweep only) leaves out.
+//! v6 retires the four set-overlap rows whose baselines (string and
+//! sorted-vector key sets, pairwise month walks) left the code base:
+//! the compressed bitmaps are the only set-overlap engine now.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
-use obscor_assoc::{BitSet, MonthMatrix, NumKeySet};
+use obscor_assoc::{BitSet, MonthMatrix};
 use obscor_bench::fixture;
 use obscor_hypersparse::{Coo, Index};
 use obscor_netmodel::{PacketStream, TrafficConfig};
@@ -127,93 +125,11 @@ fn ingest_report(n_v: usize, seed: u64) {
         fast_ns: median_ns(INGEST_REPS, || matrix::build_anonymized_matrix_memo(&w, &memo)),
     };
 
-    // 4. Correlation set ops: string key sets vs numeric key sets on the
-    //    first window's sources against its coeval honeyfarm month.
-    let wd = &f.degrees[0];
-    let month = &f.monthly_sources[wd.month];
-    let str_keys = wd.key_set();
-    let num_keys = wd.ip_set();
-    let num_month = NumKeySet::from_key_set(month).expect("monthly keys are dotted quads");
-    let overlap = Comparison {
-        name: "overlap_fraction_string_vs_numeric",
-        baseline_ns: median_ns(INGEST_REPS, || str_keys.overlap_fraction(month)),
-        fast_ns: median_ns(INGEST_REPS, || num_keys.overlap_fraction(&num_month)),
-    };
-
-    // 4b. Compressed bitmap substrate at fixture scale: the same window
-    //     sources against the same coeval month, sorted-vec merge walk vs
-    //     roaring-container popcounts. Fixture sets at N_V = 2^16 are
-    //     sparse (array containers), so this row shows the small-set
-    //     behaviour honestly; the paper-density rows below show the
-    //     regime the substrate is built for.
-    let bit_keys = BitSet::from_num_key_set(&num_keys);
-    let bit_month = BitSet::from_num_key_set(&num_month);
-    assert_eq!(
-        bit_keys.overlap_fraction(&bit_month),
-        num_keys.overlap_fraction(&num_month),
-        "bitmap overlap must be bit-identical to the numeric path"
-    );
-    let overlap_bitmap = Comparison {
-        name: "overlap_fraction_numeric_vs_bitmap",
-        baseline_ns: median_ns(INGEST_REPS, || num_keys.overlap_fraction(&num_month)),
-        fast_ns: median_ns(INGEST_REPS, || bit_keys.overlap_fraction(&bit_month)),
-    };
-
-    // 4c. Paper-density set ops: ~2^21 draws from a 2^24 address space
-    //     give ~8K keys per 2^16 chunk — the bitmap-container regime of
-    //     the paper's full observatory months — where the merge walk
-    //     touches every key but the word-parallel path popcounts 64 at a
-    //     time. The temporal row sweeps all months in one merge-join of
-    //     the probe's chunks (the `MonthMatrix` one-sweep algorithm)
-    //     against the month-at-a-time pairwise walks it replaced.
-    let mut dense_rng = StdRng::seed_from_u64(seed ^ 0x0b17);
-    let mut dense_set = || {
-        NumKeySet::from_iter(
-            (0..1u32 << 21).map(|_| dense_rng.random_range(0u32..1 << 24)),
-        )
-    };
-    let dense_a = dense_set();
-    let dense_b = dense_set();
-    let dense_months: Vec<NumKeySet> = (0..15).map(|_| dense_set()).collect();
-    let dense_bit_a = BitSet::from_num_key_set(&dense_a);
-    let dense_bit_b = BitSet::from_num_key_set(&dense_b);
-    let dense_matrix = MonthMatrix::from_months(&dense_months);
-    assert_eq!(
-        dense_bit_a.overlap_count(&dense_bit_b),
-        dense_a.overlap_count(&dense_b),
-        "dense bitmap overlap must be bit-identical to the numeric path"
-    );
-    let sweep_counts = dense_matrix.overlap_counts(&dense_bit_a);
-    for (m, month) in dense_months.iter().enumerate() {
-        assert_eq!(
-            sweep_counts[m],
-            dense_a.overlap_count(month),
-            "one-sweep month counts must be bit-identical to pairwise"
-        );
-    }
-    let overlap_dense = Comparison {
-        name: "overlap_count_numeric_vs_bitmap_dense",
-        baseline_ns: median_ns(INGEST_REPS, || dense_a.overlap_count(&dense_b)),
-        fast_ns: median_ns(INGEST_REPS, || dense_bit_a.overlap_count(&dense_bit_b)),
-    };
-    let temporal_sweep = Comparison {
-        name: "temporal_sweep_pairwise_vs_month_matrix",
-        baseline_ns: median_ns(INGEST_REPS, || {
-            dense_months
-                .iter()
-                .map(|month| dense_a.overlap_count(month))
-                .sum::<usize>()
-        }),
-        fast_ns: median_ns(INGEST_REPS, || {
-            dense_matrix.overlap_counts(&dense_bit_a).iter().sum::<usize>()
-        }),
-    };
-
-    // 4d. The month matrix build itself, at the honeyfarm's shape: fifteen
+    // 4. The month matrix build, at the honeyfarm's shape: fifteen
     //     months of 7k–33k uniform keys over the whole u32 space (the
     //     background rows of `honeyfarm::monthly`), so most of the 65,536
     //     chunks are occupied and chunk count, not key count, drives the
-    //     cost. The sweep row above times probes of a prebuilt matrix only.
+    //     cost.
     let mut farm_rng = StdRng::seed_from_u64(seed ^ 0xfa53);
     let farm_months: Vec<BitSet> = (0..15usize)
         .map(|m| {
@@ -229,10 +145,6 @@ fn ingest_report(n_v: usize, seed: u64) {
         cryptopan_scalar,
         cryptopan_batched,
         matrix_build,
-        overlap,
-        overlap_bitmap,
-        overlap_dense,
-        temporal_sweep,
     ];
 
     // 5. Sustained streaming throughput: the same captured window pushed
@@ -334,7 +246,7 @@ fn ingest_report(n_v: usize, seed: u64) {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"obscor.bench.ingest.v5\",\n");
+    json.push_str("  \"schema\": \"obscor.bench.ingest.v6\",\n");
     json.push_str(&format!("  \"n_v\": {n_v},\n"));
     json.push_str(&format!("  \"reps\": {INGEST_REPS},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));

@@ -12,7 +12,7 @@
 
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::convert::ip_key;
-use obscor_assoc::{BitSet, KeySet, NumKeySet};
+use obscor_assoc::{BitSet, KeySet};
 use obscor_hypersparse::reduce;
 use obscor_netmodel::Scenario;
 use obscor_stats::binning::log2_bin;
@@ -115,32 +115,10 @@ impl WindowDegrees {
         self.degrees.iter().map(|&(ip, _)| ip_key(ip)).collect()
     }
 
-    /// Sources grouped into log2 degree bins as numeric key sets — the
-    /// allocation-free counterpart of [`Self::bin_key_sets`]. Bin
-    /// membership is identical; keys are the `u32` addresses themselves
-    /// instead of dotted-quad strings, and because [`ip_key`] zero-pads,
-    /// both representations sort the same way.
-    pub fn bin_ip_sets(&self, min_sources: usize) -> BTreeMap<u32, NumKeySet> {
-        let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(ip, d) in &self.degrees {
-            groups.entry(log2_bin(d)).or_default().push(ip);
-        }
-        groups
-            .into_iter()
-            .filter(|(_, v)| v.len() >= min_sources)
-            .map(|(bin, ips)| (bin, ips.into_iter().collect()))
-            .collect()
-    }
-
-    /// The full source set of the window as a numeric key set.
-    pub fn ip_set(&self) -> NumKeySet {
-        self.degrees.iter().map(|&(ip, _)| ip).collect()
-    }
-
     /// Sources grouped into log2 degree bins as compressed bit sets — the
-    /// word-parallel counterpart of [`Self::bin_ip_sets`] with identical
-    /// bin membership. `degrees` is sorted by ip, so each bin's keys
-    /// arrive already sorted and unique.
+    /// correlation stages' counterpart of [`Self::bin_key_sets`] with
+    /// identical bin membership. `degrees` is sorted by ip, so each bin's
+    /// keys arrive already sorted and unique.
     pub fn bin_bit_sets(&self, min_sources: usize) -> BTreeMap<u32, BitSet> {
         let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for &(ip, d) in &self.degrees {
@@ -151,12 +129,6 @@ impl WindowDegrees {
             .filter(|(_, v)| v.len() >= min_sources)
             .map(|(bin, ips)| (bin, BitSet::from_sorted_unique(&ips)))
             .collect()
-    }
-
-    /// The full source set of the window as a compressed bit set.
-    pub fn bit_set(&self) -> BitSet {
-        let ips: Vec<u32> = self.degrees.iter().map(|&(ip, _)| ip).collect();
-        BitSet::from_sorted_unique(&ips)
     }
 }
 
@@ -243,40 +215,18 @@ mod tests {
     }
 
     #[test]
-    fn numeric_bins_mirror_string_bins() {
+    fn bit_set_bins_mirror_string_bins() {
         let (_, wd) = fixture();
         let s_bins = wd.bin_key_sets(1);
-        let n_bins = wd.bin_ip_sets(1);
-        assert_eq!(s_bins.len(), n_bins.len());
-        for (bin, keys) in &s_bins {
-            assert_eq!(&n_bins[bin].to_key_set(), keys, "bin {bin} diverged");
-        }
-        assert_eq!(wd.ip_set().to_key_set(), wd.key_set());
-    }
-
-    #[test]
-    fn bit_set_bins_mirror_numeric_bins() {
-        let (_, wd) = fixture();
-        let n_bins = wd.bin_ip_sets(1);
         let b_bins = wd.bin_bit_sets(1);
-        assert_eq!(n_bins.len(), b_bins.len());
-        for (bin, keys) in &n_bins {
+        assert_eq!(s_bins.len(), b_bins.len());
+        for (bin, keys) in &s_bins {
             b_bins[bin].check_invariants().unwrap();
-            assert_eq!(&b_bins[bin].to_num_key_set(), keys, "bin {bin} diverged");
+            let rendered: Vec<String> = b_bins[bin].iter().map(ip_key).collect();
+            assert_eq!(rendered, keys.as_slice(), "bin {bin} diverged");
         }
-        wd.bit_set().check_invariants().unwrap();
-        assert_eq!(wd.bit_set().to_num_key_set(), wd.ip_set());
         // min_sources filters identically.
-        assert_eq!(
-            wd.bin_bit_sets(50).keys().collect::<Vec<_>>(),
-            wd.bin_ip_sets(50).keys().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn numeric_bins_respect_min_sources() {
-        let (_, wd) = fixture();
-        let filtered = wd.bin_ip_sets(50);
+        let filtered = wd.bin_bit_sets(50);
         assert_eq!(
             filtered.keys().collect::<Vec<_>>(),
             wd.bin_key_sets(50).keys().collect::<Vec<_>>()

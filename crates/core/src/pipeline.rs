@@ -4,13 +4,14 @@ use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
 use crate::distribution::{degree_distribution, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
-use crate::peak::{peak_correlation, peak_correlation_bits, PeakCorrelation};
+use crate::peak::{peak_correlation_bits, PeakCorrelation};
 use crate::classes::{class_correlation, ClassCorrelation};
 use crate::scaling::source_scaling;
 use crate::subnets::{aggregate_by_prefix, SubnetRow};
-use crate::temporal::{temporal_curves, temporal_curves_bits, TemporalCurve};
+use crate::temporal::{temporal_curves_bits, TemporalCurve};
 use obscor_anonymize::sharing::Holder;
-use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
+use obscor_assoc::convert::parse_ip_key;
+use obscor_assoc::{BitSet, MonthMatrix};
 use obscor_honeyfarm::observe_all_months;
 use obscor_hypersparse::reduce::NetworkQuantities;
 use obscor_hypersparse::SpillReport;
@@ -241,47 +242,36 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .iter()
         .map(|m| GreyNoiseInventoryRow { label: m.label.clone(), sources: m.n_sources() })
         .collect();
-    // The monthly correlation substrate: key sets, their numeric and
-    // compressed mirrors, and the month matrix, with their checks.
+    // The monthly correlation substrate, built once per analysis: each
+    // month's source keys as a compressed BitSet for the coeval (peak)
+    // stage, and one month×source membership matrix for the temporal
+    // stage's one-sweep overlap counts, with their checks.
     let _substrate_span = obscor_obs::span("stage.substrate");
-    let monthly_sources: Vec<KeySet> =
-        months.iter().map(|m| m.source_keys().clone()).collect();
-    // Numeric mirror of the monthly key sets, converted once. `None`
-    // (a month with non-IP keys) falls back to the string path.
-    let monthly_ip: Option<Vec<NumKeySet>> =
-        monthly_sources.iter().map(NumKeySet::from_key_set).collect();
-    // Compressed substrate, also built once per analysis: per-month
-    // BitSets for the coeval (peak) stage and one month×source membership
-    // matrix for the temporal stage's one-sweep overlap counts. Both are
-    // bit-identical to the sorted-vector mirror they derive from.
-    let monthly_bits: Option<Vec<BitSet>> = monthly_ip
-        .as_ref()
-        .map(|months| months.iter().map(BitSet::from_num_key_set).collect());
-    let month_matrix: Option<MonthMatrix> =
-        monthly_bits.as_ref().map(|bits| MonthMatrix::from_bit_sets(bits));
+    let monthly_bits: Vec<BitSet> =
+        months.iter().map(|m| BitSet::from_ip_keys(m.source_keys())).collect();
+    let month_matrix = MonthMatrix::from_bit_sets(&monthly_bits);
     if cfg!(any(debug_assertions, feature = "strict-invariants")) {
-        for (m, keys) in months.iter().zip(&monthly_sources) {
-            stage_check(&m.label, m.assoc.check_invariants());
-            stage_check(&m.label, keys.check_invariants());
-        }
-        if let (Some(ip), Some(bits), Some(mm)) = (&monthly_ip, &monthly_bits, &month_matrix) {
-            stage_check("month-matrix", mm.check_invariants());
-            for (m, (nks, bs)) in ip.iter().zip(bits).enumerate() {
-                stage_check("monthly-bits", bs.check_invariants());
-                // The compressed mirror answers exactly like the vector:
-                // same cardinality (matrix rows included), and rank/select
-                // agree on the extremes.
-                let consistent = bs.len() == nks.len()
-                    && mm.month_len(m) == nks.len()
-                    && bs.select(0) == nks.as_slice().first().copied()
-                    && nks.as_slice().last().is_none_or(|&k| bs.rank(k) == nks.len() - 1);
-                stage_check(
-                    "monthly-bits",
-                    consistent
-                        .then_some(())
-                        .ok_or_else(|| format!("month {m}: compressed mirror diverged")),
-                );
-            }
+        stage_check("month-matrix", month_matrix.check_invariants());
+        for (m, (month, bs)) in months.iter().zip(&monthly_bits).enumerate() {
+            let keys = month.source_keys();
+            stage_check(&month.label, month.assoc.check_invariants());
+            stage_check(&month.label, keys.check_invariants());
+            stage_check("monthly-bits", bs.check_invariants());
+            // The compressed set answers exactly like the key set: same
+            // cardinality (matrix rows included), so no key was skipped,
+            // and rank/select agree with the parsed first and last keys.
+            let first = keys.as_slice().first().and_then(|k| parse_ip_key(k));
+            let last = keys.as_slice().last().and_then(|k| parse_ip_key(k));
+            let consistent = bs.len() == keys.len()
+                && month_matrix.month_len(m) == keys.len()
+                && bs.select(0) == first
+                && last.is_none_or(|k| bs.rank(k) == keys.len() - 1);
+            stage_check(
+                "monthly-bits",
+                consistent
+                    .then_some(())
+                    .ok_or_else(|| format!("month {m}: compressed set diverged")),
+            );
         }
     }
     drop(_substrate_span);
@@ -367,20 +357,14 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         let _s = obscor_obs::span("stage.peaks");
         degrees
             .par_iter()
-            .map(|wd| match &monthly_bits {
-                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section; same justification as the baselined oracle arm below
-                Some(months) => peak_correlation_bits(
+            .map(|wd| {
+                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section
+                peak_correlation_bits(
                     wd,
-                    &months[wd.month],
+                    &monthly_bits[wd.month],
                     scenario.bright_log2(),
                     config.min_bin_sources,
-                ),
-                None => peak_correlation(
-                    wd,
-                    &monthly_sources[wd.month],
-                    scenario.bright_log2(),
-                    config.min_bin_sources,
-                ),
+                )
             })
             .collect()
     };
@@ -389,10 +373,9 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         let _s = obscor_obs::span("stage.curves");
         degrees
             .par_iter()
-            .flat_map(|wd| match &month_matrix {
-                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section; same justification as the baselined oracle arm below
-                Some(mm) => temporal_curves_bits(wd, mm, config.min_bin_sources),
-                None => temporal_curves(wd, &monthly_sources, config.min_bin_sources),
+            .flat_map(|wd| {
+                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section
+                temporal_curves_bits(wd, &month_matrix, config.min_bin_sources)
             })
             .collect()
     };

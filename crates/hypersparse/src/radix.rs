@@ -23,10 +23,9 @@
 //!    builds the `row_keys`/`row_ptr`/`col_keys`/`vals` arrays without ever
 //!    materializing an intermediate dedup'd triple `Vec`.
 //!
-//! The comparison path remains in `coo.rs` as the differential oracle
-//! (`serial ≡ radix` property tests live in `tests/properties.rs`), and
-//! [`crate::Coo::into_csr`] picks between the two with a measured crossover
-//! rather than a magic constant.
+//! [`crate::Coo::into_csr`] always runs this kernel. The comparison path
+//! remains in `coo.rs` as the reference (`serial ≡ radix` property tests
+//! live in `tests/properties.rs`).
 //!
 //! Opt-in metrics (enable with [`enable_metrics`]; never emitted otherwise,
 //! so the default 88-name metrics schema is untouched):
@@ -72,7 +71,7 @@ pub fn metrics_enabled() -> bool {
 /// sum duplicate coordinates, drop zero sums, assemble CSR directly.
 ///
 /// The result is bit-identical to the comparison-sort path
-/// ([`crate::Coo::into_csr_serial`]); `into_csr` chooses between them.
+/// ([`crate::Coo::into_csr_serial`]).
 pub fn compact_into_csr<V: Value>(rows: Vec<Index>, cols: Vec<Index>, vals: Vec<V>) -> Csr<V> {
     debug_assert_eq!(rows.len(), cols.len());
     debug_assert_eq!(rows.len(), vals.len());

@@ -6,7 +6,7 @@
 //! performs (COO → CSR, CSR ↔ DCSC, transpose).
 
 use obscor_hypersparse::reduce::NetworkQuantities;
-use obscor_hypersparse::{Coo, Csr, Dcsc, HierarchicalAccumulator, Index, StreamingBuilder};
+use obscor_hypersparse::{Coo, Csr, Dcsc, HierarchicalAccumulator, Index};
 use proptest::prelude::*;
 
 fn sample_triples() -> Vec<(Index, Index, u64)> {
@@ -71,15 +71,6 @@ fn accumulator_with_leaf_capacity_satisfies_invariants_throughout() {
 }
 
 #[test]
-fn streaming_builder_new_satisfies_invariants() {
-    let mut b = StreamingBuilder::<u64>::new(2, 64, 4);
-    assert!(b.check_invariants().is_ok());
-    b.send_batch(sample_triples());
-    assert!(b.check_invariants().is_ok());
-    assert!(b.finish().check_invariants().is_ok());
-}
-
-#[test]
 fn network_quantities_compute_satisfies_invariants() {
     let csr = Coo::from_triples(sample_triples()).into_csr();
     let q = NetworkQuantities::compute(&csr);
@@ -93,13 +84,13 @@ fn arb_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
 
 proptest! {
     /// COO → CSR compaction always lands in the invariant set, via both the
-    /// serial and the parallel path.
+    /// serial reference and the radix kernel `into_csr` runs.
     #[test]
     fn compaction_preserves_invariants(t in arb_triples()) {
         let coo = Coo::from_triples(t.iter().copied());
         prop_assert!(coo.check_invariants().is_ok());
         prop_assert!(Coo::from_triples(t.iter().copied()).into_csr_serial().check_invariants().is_ok());
-        prop_assert!(Coo::from_triples(t.iter().copied()).into_csr_parallel().check_invariants().is_ok());
+        prop_assert!(Coo::from_triples(t.iter().copied()).into_csr().check_invariants().is_ok());
     }
 
     /// CSR → DCSC → CSR round-trips stay inside the invariant set at every

@@ -56,8 +56,8 @@ impl Drop for SpanTimer {
 /// nanoseconds, without touching the registry.
 ///
 /// This is the sanctioned stopwatch for code that needs a raw duration to
-/// *act on* (e.g. the hypersparse crossover calibration picks a kernel from
-/// measured timings) rather than to report. Reporting still goes through
+/// *keep* (e.g. the ingest bench's before/after rows) rather than to
+/// report through the registry. Reporting still goes through
 /// [`SpanTimer`]; `time_fn` exists so callers outside `obs` never need
 /// `Instant::now()` directly, keeping the `instant-timing` audit rule
 /// airtight.

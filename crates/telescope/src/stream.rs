@@ -550,7 +550,7 @@ fn emit_leaf(
 ) {
     let full = std::mem::replace(leaf, Coo::with_capacity(capacity));
     let packets = full.len() as u64;
-    let csr = full.into_csr(); // radix kernel above the measured crossover
+    let csr = full.into_csr(); // radix kernel
     let msg = ToCollector::Leaf { window, worker, seq: *seq, packets, csr };
     *seq += 1;
     *leaves += 1;

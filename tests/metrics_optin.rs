@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// Every opt-in name, sorted — the schema-pin strategy applied to the
 /// fast-path metrics (a new name must be added here and to DESIGN.md §12
 /// deliberately).
-const OPTIN_NAMES: [&str; 32] = [
+const OPTIN_NAMES: [&str; 31] = [
     "anonymize.cache.batch_dup_hits_total",
     "anonymize.cache.prefix_hits_total",
     "anonymize.cache.suffix_aes_total",
@@ -38,7 +38,6 @@ const OPTIN_NAMES: [&str; 32] = [
     "assoc.bitset.promotions_total",
     "assoc.bitset.words_scanned_total",
     "hypersparse.radix.compactions_total",
-    "hypersparse.radix.crossover",
     "hypersparse.radix.digit_passes_total",
     "hypersparse.radix.keys_total",
     "hypersparse.radix.skipped_digits_total",
@@ -73,9 +72,8 @@ fn is_optin(name: &str) -> bool {
 }
 
 /// Drive every fast path far enough to touch all opt-in metric sites:
-/// a compaction big enough to take the radix arm of `into_csr` (the
-/// measured crossover never exceeds the `2^15` fallback), a memo table
-/// build, scalar anonymization, and a batch with duplicates.
+/// a radix compaction through `into_csr`, a memo table build, scalar
+/// anonymization, and a batch with duplicates.
 fn exercise_fast_paths() {
     let n = 40_000u32;
     let triples: Vec<(u32, u32, u64)> =
@@ -195,7 +193,6 @@ fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
     assert!(enabled.counters["anonymize.cache.table_builds_total"] >= 1);
     assert!(enabled.counters["anonymize.cache.prefix_hits_total"] >= 1);
     assert!(enabled.counters["anonymize.cache.batch_dup_hits_total"] >= 1);
-    assert!(enabled.gauges["hypersparse.radix.crossover"] >= 1);
     // The bitset drive lands exactly where the hysteresis edges put it:
     // three array builds (ceiling set, demotion target, runs precursor),
     // three bitmap builds (one promotion, two dense even-key sets), one
