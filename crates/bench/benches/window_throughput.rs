@@ -178,14 +178,13 @@ fn ingest_report(n_v: usize, seed: u64) {
     //    the spill scheduler under a zero budget (every carry evicted to
     //    a real temp directory — the fully out-of-core worst case)
     //    against the plain in-memory build, with the per-level merge
-    //    timings the spill spans record while enabled.
-    obscor_hypersparse::spill::enable_spill_metrics();
+    //    timings every spilling fold records.
     let ooc_baseline_ns = median_ns(INGEST_REPS, || matrix::build_matrix(&w));
-    let mut spill_stats = obscor_hypersparse::SpillStats::default();
+    let mut spill_stats = obscor_hypersparse::AccumulatorStats::default();
     let before = obscor_obs::snapshot();
     let ooc_spilled_ns = median_ns(INGEST_REPS, || {
-        let (m, report) =
-            matrix::build_matrix_spilled(&w, Some(0), None).expect("temp spill dir");
+        let (m, report) = matrix::build_matrix_spilled(&w, Some(0), None);
+        let report = report.expect("temp spill dir");
         assert!(report.is_exact(), "bench spill fold must be exact");
         spill_stats = report.stats;
         m

@@ -18,9 +18,11 @@
 //! * `info` prints the scenario calibration summary.
 
 use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
+use obscor_hypersparse::DirMedium;
 use obscor_netmodel::Scenario;
 use obscor_pcap::PcapWriter;
 use obscor_telescope::{capture_window, stream, FaultPlan, IngestConfig, IngestService};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const DEFAULT_NV: usize = 1 << 20;
@@ -76,8 +78,10 @@ carry-level CSR parts spill to disk whenever tracked live bytes exceed the
 budget, and the merge scheduler reloads them on demand — the matrices are
 bit-identical to the in-memory build. Applies to both reproduce and serve;
 per-window spill accounting (evictions, reloads, peak live bytes) is printed
-and the opt-in hypersparse.spill.* metrics are enabled.
---spill-dir PATH puts the spill files under PATH (default: system temp dir).
+and the spilled folds record hypersparse.spill.* metrics.
+--spill-dir PATH puts the spill files under PATH (default: system temp dir);
+it needs --memory-budget, and a PATH spill files cannot be created under
+fails the run before any work.
 
 ARTIFACT: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 classes subnets scaling";
 
@@ -199,7 +203,19 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if o.spill_dir.is_some() && o.memory_budget.is_none() {
+        return Err("--spill-dir needs --memory-budget".into());
+    }
     Ok(o)
+}
+
+/// The `--spill-dir` of a budgeted run, tested once before any work the
+/// way every window fold will use it: a directory spill files cannot be
+/// created under fails the run instead of silently dropping the budget.
+fn spill_dir(o: &Options) -> Result<Option<PathBuf>, String> {
+    let Some(dir) = &o.spill_dir else { return Ok(None) };
+    DirMedium::create_in(Path::new(dir)).map_err(|e| format!("--spill-dir {dir}: {e}"))?;
+    Ok(Some(PathBuf::from(dir)))
 }
 
 /// Accept `1048576` or `2^20`.
@@ -248,6 +264,7 @@ fn build_scenario(o: &Options) -> Scenario {
 }
 
 fn reproduce(o: Options) -> Result<(), String> {
+    let spill_dir = spill_dir(&o)?;
     if o.fast_path_metrics {
         obscor_hypersparse::radix::enable_metrics();
         obscor_anonymize::memo::enable_cache_metrics();
@@ -272,15 +289,11 @@ fn reproduce(o: Options) -> Result<(), String> {
                         (--fault-plan/--strict-archive)"
                 .into());
         }
-        obscor_hypersparse::spill::enable_spill_metrics();
         eprintln!(
             "out-of-core build: memory budget {budget} bytes, spill dir {}",
             o.spill_dir.as_deref().unwrap_or("<temp>")
         );
-        config = config.with_spill(SpillSettings {
-            memory_budget: budget,
-            spill_dir: o.spill_dir.as_deref().map(std::path::PathBuf::from),
-        });
+        config = config.with_spill(SpillSettings { memory_budget: budget, spill_dir });
     }
     eprintln!(
         "population: {} sources; capturing 5 windows x {} packets + 15 honeyfarm months...",
@@ -421,16 +434,14 @@ const SERVE_ANON_KEY: [u8; 32] = [0x5Au8; 32];
 
 fn serve(o: Options) -> Result<(), String> {
     use obscor_pcap::PacketFilter;
+    let spill_dir = spill_dir(&o)?;
     let scenario = build_scenario(&o);
     let window_packets = o.window_packets.unwrap_or(scenario.n_v);
     let mut cfg = IngestConfig::new(o.workers, window_packets);
     cfg.queue_depth = o.queue_depth;
     cfg.memory_budget = o.memory_budget;
-    cfg.spill_dir = o.spill_dir.as_deref().map(std::path::PathBuf::from);
+    cfg.spill_dir = spill_dir;
     stream::enable_ingest_metrics();
-    if o.memory_budget.is_some() {
-        obscor_hypersparse::spill::enable_spill_metrics();
-    }
     let before = obscor_obs::snapshot();
     let spec = &scenario.caida_windows[o.window];
     eprintln!(
@@ -543,7 +554,7 @@ fn serve(o: Options) -> Result<(), String> {
 /// retained packet list.
 fn batch_oracle_matrix(pairs: &[(u32, u32)], anonymize: bool) -> obscor_hypersparse::Csr<u64> {
     use obscor_hypersparse::HierarchicalAccumulator;
-    let leaf = (pairs.len() / obscor_telescope::matrix::PAPER_LEAF_COUNT).max(1024);
+    let leaf = obscor_telescope::leaf_capacity(pairs.len());
     let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
     if anonymize {
         let pan = obscor_anonymize::MemoCryptoPan::new(&SERVE_ANON_KEY);

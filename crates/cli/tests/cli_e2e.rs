@@ -313,3 +313,39 @@ fn bad_invocations_fail_with_usage() {
         assert!(stderr.contains("usage:"), "no usage in stderr for {args:?}");
     }
 }
+
+/// Run `subcommand` budgeted with a regular file as `--spill-dir`, then
+/// with a `--spill-dir` but no budget. Both must fail before any work:
+/// the first naming the path, the second naming the missing flag —
+/// neither may quietly build in memory.
+fn unusable_spill_dir_fails(subcommand: &str, test: &str) {
+    let dir = ScratchDir::new(test);
+    let file = dir.file("not-a-dir");
+    std::fs::write(&file, b"x").unwrap();
+    let base = [subcommand, "--nv", "2^14", "--seed", "42"];
+    let out = obscor()
+        .args(base)
+        .args(["--memory-budget", "0", "--spill-dir"])
+        .arg(&file)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success(), "{subcommand} must fail on a file spill dir:\n{stderr}");
+    assert!(stderr.contains(file.to_str().unwrap()), "path not named:\n{stderr}");
+    assert!(!stderr.contains("building scenario"), "failed only after work began:\n{stderr}");
+
+    let out = obscor().args(base).arg("--spill-dir").arg(&dir.path).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success(), "{subcommand} must fail on an unbudgeted spill dir");
+    assert!(stderr.contains("--spill-dir needs --memory-budget"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn reproduce_fails_on_an_unusable_spill_dir() {
+    unusable_spill_dir_fails("reproduce", "reproduce_spill_dir");
+}
+
+#[test]
+fn serve_fails_on_an_unusable_spill_dir() {
+    unusable_spill_dir_fails("serve", "serve_spill_dir");
+}

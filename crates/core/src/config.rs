@@ -40,11 +40,11 @@ impl ArchiveConfig {
     }
 }
 
-/// Configuration of the out-of-core matrix build: window matrices are
-/// accumulated through the bounded-memory spill/merge scheduler
-/// ([`obscor_hypersparse::SpillAccumulator`]), evicting carry-level CSR
-/// parts to disk whenever tracked live bytes exceed the budget. The
-/// produced matrices are bit-identical to the direct build.
+/// Configuration of the out-of-core matrix build: each window's
+/// [`obscor_hypersparse::HierarchicalAccumulator`] gets a spill store
+/// (`telescope::build_matrix_spilled`), evicting carry-level CSR parts to
+/// disk whenever tracked live bytes exceed the budget. The produced
+/// matrices are bit-identical to the in-memory build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpillSettings {
     /// Tracked-live-byte budget for each window's hierarchical fold.
@@ -85,7 +85,9 @@ pub struct AnalysisConfig {
     /// When set (and `archive` is `None`), window matrices are built
     /// through the out-of-core spill path under the given memory budget
     /// and the analysis records a [`obscor_hypersparse::SpillReport`]
-    /// per window. `None` (the default) builds matrices fully in memory.
+    /// per window whose fold spilled (a spill directory that cannot be
+    /// created leaves the fold in memory). `None` (the default) builds
+    /// matrices fully in memory.
     pub spill: Option<SpillSettings>,
 }
 

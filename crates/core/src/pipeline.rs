@@ -136,41 +136,28 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     let caida_inventory = inventory(&windows);
     let mut spill_reports: Vec<SpillReport> = Vec::new();
     let (matrices, restore): (Vec<_>, Vec<RestoreReport>) = match &config.archive {
-        None => match &config.spill {
-            None => {
-                let _s = obscor_obs::span("stage.matrices");
-                (windows.par_iter().map(matrix::build_matrix).collect(), Vec::new())
-            }
-            Some(sp) => {
-                // Out-of-core build: each window folds under the
-                // configured live-byte budget, evicting carry parts to
-                // disk. Serial across windows — the budget is per fold,
-                // and running folds concurrently would multiply the
-                // process footprint the budget exists to bound.
-                let _s = obscor_obs::span("stage.matrices_spilled");
-                let mut built = Vec::with_capacity(windows.len());
-                for w in &windows {
-                    match matrix::build_matrix_spilled(
-                        w,
-                        Some(sp.memory_budget),
-                        sp.spill_dir.as_deref(),
-                    ) {
-                        Ok((m, report)) => {
-                            spill_reports.push(report);
-                            built.push(m);
-                        }
-                        // An unusable spill directory degrades to the
-                        // in-memory build (bit-identical, just bigger).
-                        Err(_) => built.push(matrix::build_matrix(w)),
-                    }
-                }
+        None => {
+            let _s = obscor_obs::span("stage.matrices");
+            let budget = config.spill.as_ref().map(|sp| sp.memory_budget);
+            let spill_dir = config.spill.as_ref().and_then(|sp| sp.spill_dir.as_deref());
+            let build = |w| matrix::build_matrix_spilled(w, budget, spill_dir);
+            // The budget is per fold: building budgeted windows
+            // concurrently would multiply the process footprint it exists
+            // to bound, so they build one at a time.
+            let built: Vec<_> = match budget {
+                None => windows.par_iter().map(build).collect(),
+                Some(_) => windows.iter().map(build).collect(),
+            };
+            let (matrices, reports): (Vec<_>, Vec<_>) = built.into_iter().unzip();
+            spill_reports.extend(reports.into_iter().flatten());
+            if budget.is_some() {
                 obscor_obs::counter("stage.matrices.spill_windows_total")
                     .add(spill_reports.len() as u64);
                 obscor_obs::counter("stage.matrices.spill_evictions_total")
                     .add(spill_reports.iter().map(|r| r.stats.evictions).sum());
-                (built, Vec::new())
             }
-        },
+            (matrices, Vec::new())
+        }
         Some(ac) => {
             // The paper's production shape: each window is serialized
             // into leaf matrices (optionally injured by the configured

@@ -23,7 +23,9 @@
 //! * [`hier::HierarchicalAccumulator`] — the hierarchical accumulation
 //!   architecture of Kepner et al. (IPDPS-W 2020/HPEC 2021): packets are
 //!   buffered into small leaf matrices which are summed pairwise like a
-//!   binary counter, keeping every intermediate merge cache-friendly,
+//!   binary counter, keeping every intermediate merge cache-friendly; built
+//!   [`spilling`](hier::HierarchicalAccumulator::spilling) it keeps its carry
+//!   parts under a memory budget through a [`spill::SpillStore`],
 //! * [`ops`] — element-wise addition, zero-norm (pattern) extraction,
 //!   permutation (anonymization invariance), scaling, and transposition.
 //!
@@ -58,11 +60,8 @@ pub mod value;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dcsc::Dcsc;
-pub use hier::HierarchicalAccumulator;
-pub use spill::{
-    DirMedium, MemMedium, SpillAccumulator, SpillConfig, SpillFault, SpillMedium, SpillReport,
-    SpillStats, SpillStore,
-};
+pub use hier::{AccumulatorStats, HierarchicalAccumulator};
+pub use spill::{DirMedium, MemMedium, SpillFault, SpillMedium, SpillReport, SpillStore};
 pub use value::Value;
 
 /// Row/column index type. The paper uses `uint32` indices so that an entire

@@ -6,8 +6,9 @@
 //! performs (COO → CSR, CSR ↔ DCSC, transpose).
 
 use obscor_hypersparse::reduce::NetworkQuantities;
-use obscor_hypersparse::{Coo, Csr, Dcsc, HierarchicalAccumulator, Index};
+use obscor_hypersparse::{Coo, Csr, Dcsc, HierarchicalAccumulator, Index, MemMedium};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn sample_triples() -> Vec<(Index, Index, u64)> {
     vec![(3, 9, 2), (0, 1, 5), (3, 9, 1), (7, 0, 4), (0, 1, 3)]
@@ -71,6 +72,21 @@ fn accumulator_with_leaf_capacity_satisfies_invariants_throughout() {
 }
 
 #[test]
+fn accumulator_spilling_satisfies_invariants_throughout() {
+    for budget in [None, Some(0), Some(256)] {
+        let mut acc =
+            HierarchicalAccumulator::<u64>::spilling(4, budget, Arc::new(MemMedium::new()));
+        for (r, c, v) in sample_triples() {
+            acc.push(r, c, v);
+            assert!(acc.check_invariants().is_ok(), "budget {budget:?}");
+        }
+        let (m, report) = acc.finalize_with_report();
+        assert!(m.check_invariants().is_ok());
+        assert!(report.check_invariants().is_ok());
+    }
+}
+
+#[test]
 fn network_quantities_compute_satisfies_invariants() {
     let csr = Coo::from_triples(sample_triples()).into_csr();
     let q = NetworkQuantities::compute(&csr);
@@ -116,11 +132,22 @@ proptest! {
         prop_assert_eq!(tr.transpose(), a);
     }
 
-    /// Hierarchical accumulation (any leaf size) produces an invariant-
-    /// satisfying matrix with consistent merge counters.
+    /// Hierarchical accumulation (any leaf size, in memory or spilling
+    /// under any budget) produces an invariant-satisfying matrix with
+    /// consistent merge counters.
     #[test]
-    fn accumulation_preserves_invariants(t in arb_triples(), leaf in 1usize..32) {
+    fn accumulation_preserves_invariants(
+        t in arb_triples(),
+        leaf in 1usize..32,
+        budget in 0u64..5_000,
+    ) {
+        // Budgets past 4096 stand for "no budget".
+        let budget = (budget < 4096).then_some(budget);
         let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
+        acc.extend(t.iter().copied());
+        prop_assert!(acc.check_invariants().is_ok());
+        prop_assert!(acc.finalize().check_invariants().is_ok());
+        let mut acc = HierarchicalAccumulator::spilling(leaf, budget, Arc::new(MemMedium::new()));
         acc.extend(t.iter().copied());
         prop_assert!(acc.check_invariants().is_ok());
         prop_assert!(acc.finalize().check_invariants().is_ok());

@@ -2,8 +2,10 @@
 
 use obscor_hypersparse::{
     hier, ops, reduce, serialize, spgemm, Coo, Csr, Dcsc, HierarchicalAccumulator, Index,
+    MemMedium,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
     prop::collection::vec(
@@ -61,12 +63,22 @@ proptest! {
     }
 
     /// Hierarchical accumulation equals flat accumulation regardless of
-    /// leaf size.
+    /// leaf size, in memory or spilling under any budget.
     #[test]
-    fn hierarchical_equals_flat(t in arb_triples(), leaf in 1usize..64) {
+    fn hierarchical_equals_flat(
+        t in arb_triples(),
+        leaf in 1usize..64,
+        budget in 0u64..5_000,
+    ) {
+        // Budgets past 4096 stand for "no budget".
+        let budget = (budget < 4096).then_some(budget);
+        let flat = hier::accumulate_flat(t.iter().copied());
         let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
         acc.extend(t.iter().copied());
-        prop_assert_eq!(acc.finalize(), hier::accumulate_flat(t));
+        prop_assert_eq!(acc.finalize(), flat.clone());
+        let mut acc = HierarchicalAccumulator::spilling(leaf, budget, Arc::new(MemMedium::new()));
+        acc.extend(t.iter().copied());
+        prop_assert_eq!(acc.finalize(), flat);
     }
 
     /// Every structural invariant holds after construction.

@@ -7,15 +7,49 @@
 
 use crate::capture::TelescopeWindow;
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
-use obscor_hypersparse::{
-    Csr, DirMedium, HierarchicalAccumulator, SpillAccumulator, SpillConfig, SpillFault, SpillReport,
-};
+use obscor_hypersparse::{Csr, DirMedium, HierarchicalAccumulator, SpillReport};
 use std::path::Path;
 use std::sync::Arc;
 
 /// The paper's leaf count: a window is the hierarchical sum of `2^13`
 /// leaf matrices.
 pub const PAPER_LEAF_COUNT: usize = 1 << 13;
+
+/// Triples per leaf for a window of `packets` packets: the paper's
+/// [`PAPER_LEAF_COUNT`] leaves per window, but never fewer than 1024
+/// triples per leaf.
+pub fn leaf_capacity(packets: usize) -> usize {
+    (packets / PAPER_LEAF_COUNT).max(1024)
+}
+
+/// The window fold every build runs, batch or streaming: `feed` pushes the
+/// window into the accumulator, which is then finalized. Without a
+/// `budget` the fold is in memory. With one it spills carry parts to a
+/// fresh directory under `spill_dir` (the system temp dir when `None`); if
+/// that directory cannot be created the fold stays in memory — the matrix
+/// is bit-identical either way, only the footprint differs. The
+/// [`SpillReport`] is `Some` only when the fold had a spill store.
+pub(crate) fn window_fold(
+    leaf_capacity: usize,
+    budget: Option<u64>,
+    spill_dir: Option<&Path>,
+    feed: impl FnOnce(&mut HierarchicalAccumulator<u64>),
+) -> (Csr<u64>, Option<SpillReport>) {
+    let base = || spill_dir.map_or_else(std::env::temp_dir, Path::to_path_buf);
+    match budget.and_then(|_| DirMedium::create_in(&base()).ok()) {
+        Some(medium) => {
+            let mut acc = HierarchicalAccumulator::spilling(leaf_capacity, budget, Arc::new(medium));
+            feed(&mut acc);
+            let (matrix, report) = acc.finalize_with_report();
+            (matrix, Some(report))
+        }
+        None => {
+            let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf_capacity);
+            feed(&mut acc);
+            (acc.finalize(), None)
+        }
+    }
+}
 
 /// Build the window's traffic matrix with raw (non-anonymized) indices.
 pub fn build_matrix(w: &TelescopeWindow) -> Csr<u64> {
@@ -39,50 +73,38 @@ pub fn build_anonymized_matrix_memo(w: &TelescopeWindow, cp: &MemoCryptoPan) -> 
 /// Build with an arbitrary index transform, using hierarchical
 /// accumulation with the paper's leaf count.
 pub fn build_matrix_with(w: &TelescopeWindow, map: impl Fn(u32) -> u32) -> Csr<u64> {
-    let _span = obscor_obs::span("telescope.build_matrix");
-    let leaf = (w.window.packets.len() / PAPER_LEAF_COUNT).max(1024);
-    obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(leaf as u64);
-    let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
-    for p in &w.window.packets {
-        acc.push_edge(map(p.src.0), map(p.dst.0));
-    }
-    obscor_obs::counter("telescope.build_matrix.edges_total").add(acc.len_pushed());
-    acc.finalize()
+    fold_packets(w, map, None, None).0
 }
 
-/// Build the window's traffic matrix out-of-core: carry-level CSR parts
-/// spill to `spill_dir` (the system temp dir when `None`) whenever tracked
-/// live bytes exceed `budget`. Bit-identical to [`build_matrix`]; the
-/// returned [`SpillReport`] records eviction/reload traffic and any
-/// quarantined (unrecoverable) spill frames.
+/// Build the window's traffic matrix under a live-byte `budget`: carry
+/// parts spill to a fresh directory under `spill_dir` whenever tracked live
+/// bytes exceed it. Bit-identical to [`build_matrix`]; the [`SpillReport`]
+/// (eviction/reload traffic and any quarantined spill frames) is `Some`
+/// only when the fold had a spill store.
 pub fn build_matrix_spilled(
     w: &TelescopeWindow,
     budget: Option<u64>,
     spill_dir: Option<&Path>,
-) -> Result<(Csr<u64>, SpillReport), SpillFault> {
-    build_matrix_spilled_with(w, |ip| ip, budget, spill_dir)
+) -> (Csr<u64>, Option<SpillReport>) {
+    fold_packets(w, |ip| ip, budget, spill_dir)
 }
 
-/// Out-of-core variant of [`build_matrix_with`]: same leaf sizing, same
-/// index transform, but accumulated through a [`SpillAccumulator`] bound to
-/// a fresh [`DirMedium`] so carry parts can live on disk.
-pub fn build_matrix_spilled_with(
+/// The one push loop behind every window build.
+fn fold_packets(
     w: &TelescopeWindow,
     map: impl Fn(u32) -> u32,
     budget: Option<u64>,
     spill_dir: Option<&Path>,
-) -> Result<(Csr<u64>, SpillReport), SpillFault> {
-    let _span = obscor_obs::span("telescope.build_matrix_spilled");
-    let leaf = (w.window.packets.len() / PAPER_LEAF_COUNT).max(1024);
+) -> (Csr<u64>, Option<SpillReport>) {
+    let _span = obscor_obs::span("telescope.build_matrix");
+    let leaf = leaf_capacity(w.window.packets.len());
     obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(leaf as u64);
-    let base = spill_dir.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
-    let medium = DirMedium::create_in(&base)?;
-    let config = SpillConfig { leaf_capacity: leaf, memory_budget: budget, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(medium));
-    for p in &w.window.packets {
-        acc.push_edge(map(p.src.0), map(p.dst.0));
-    }
-    Ok(acc.finalize())
+    window_fold(leaf, budget, spill_dir, |acc| {
+        for p in &w.window.packets {
+            acc.push_edge(map(p.src.0), map(p.dst.0));
+        }
+        obscor_obs::counter("telescope.build_matrix.edges_total").add(acc.len_pushed());
+    })
 }
 
 #[cfg(test)]
@@ -152,15 +174,39 @@ mod tests {
     fn spilled_matrix_is_bit_identical_under_any_budget() {
         let w = window();
         let oracle = build_matrix(&w);
-        for budget in [None, Some(0), Some(1 << 20)] {
-            let (m, report) = build_matrix_spilled(&w, budget, None).unwrap();
-            assert_eq!(m, oracle, "budget {budget:?}");
-            assert!(report.is_exact(), "budget {budget:?}: {report:?}");
+        let (m, report) = build_matrix_spilled(&w, None, None);
+        assert_eq!(m, oracle);
+        assert!(report.is_none(), "no budget, no store, no report");
+        for budget in [0, 1 << 20] {
+            let (m, report) = build_matrix_spilled(&w, Some(budget), None);
+            assert_eq!(m, oracle, "budget {budget}");
+            let report = report.expect("a budgeted fold reports");
+            assert!(report.is_exact(), "budget {budget}: {report:?}");
         }
         // A zero budget cannot hold anything resident: every carry evicts.
-        let (_, tight) = build_matrix_spilled(&w, Some(0), None).unwrap();
+        let (_, tight) = build_matrix_spilled(&w, Some(0), None);
+        let tight = tight.expect("a budgeted fold reports");
         assert!(tight.stats.evictions > 0);
         assert!(tight.stats.reloads > 0);
+    }
+
+    #[test]
+    fn unusable_spill_dir_degrades_to_the_in_memory_fold() {
+        let w = window();
+        let file = std::env::temp_dir().join(format!("obscor-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let (m, report) = build_matrix_spilled(&w, Some(0), Some(&file));
+        std::fs::remove_file(&file).unwrap();
+        assert_eq!(m, build_matrix(&w));
+        assert!(report.is_none());
+    }
+
+    #[test]
+    fn leaf_capacity_follows_the_paper_leaf_count_with_a_floor() {
+        assert_eq!(leaf_capacity(0), 1024);
+        assert_eq!(leaf_capacity(1 << 20), 1024);
+        assert_eq!(leaf_capacity(1 << 24), 1 << 11);
+        assert_eq!(leaf_capacity(1 << 30), 1 << 17);
     }
 
     #[test]

@@ -27,10 +27,12 @@
 //!   tagged with a `(worker, seq)` sequence number.
 //! * The **collector** buffers each window's leaves and, once every worker
 //!   has acknowledged the window's close marker, merges them **in
-//!   `(worker, seq)` order** — *not* completion order — into a
-//!   [`HierarchicalAccumulator`] via
-//!   [`HierarchicalAccumulator::push_csr_leaf`], then emits a
-//!   [`WindowSnapshot`].
+//!   `(worker, seq)` order** — *not* completion order — into the batch
+//!   build's window fold (one
+//!   [`obscor_hypersparse::HierarchicalAccumulator`], spilling carry parts
+//!   to disk when [`IngestConfig::memory_budget`] is set) via
+//!   [`obscor_hypersparse::HierarchicalAccumulator::push_csr_leaf`], then
+//!   emits a [`WindowSnapshot`].
 //!
 //! # Determinism and bit-identity
 //!
@@ -65,12 +67,10 @@
 //! `telescope.ingest.{packets,windows_closed,leaves,merges}_total` and
 //! `ingest.backpressure.blocked`, all pinned by `tests/metrics_optin.rs`.
 
-use crate::matrix::PAPER_LEAF_COUNT;
+use crate::matrix::{leaf_capacity, window_fold};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use obscor_anonymize::MemoCryptoPan;
-use obscor_hypersparse::{
-    Coo, Csr, DirMedium, HierarchicalAccumulator, SpillAccumulator, SpillConfig, SpillReport,
-};
+use obscor_hypersparse::{Coo, Csr, SpillReport};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,10 +112,10 @@ pub struct IngestConfig {
     /// deliberately slow consumer.
     pub worker_delay_micros: u64,
     /// Tracked-live-byte budget for the collector's window fold. `None`
-    /// (the default) keeps the fold fully in memory; `Some(bytes)` routes
-    /// it through the out-of-core [`SpillAccumulator`], evicting carry
-    /// parts to disk whenever the budget is exceeded. The emitted matrix
-    /// is bit-identical either way.
+    /// (the default) keeps the fold fully in memory; `Some(bytes)` gives
+    /// the fold a spill store, as [`crate::build_matrix_spilled`] does, evicting
+    /// carry parts to disk whenever the budget is exceeded. The emitted
+    /// matrix is bit-identical either way.
     pub memory_budget: Option<u64>,
     /// Directory spill files are created under when `memory_budget` is
     /// set; the system temp dir when `None`.
@@ -137,7 +137,7 @@ impl IngestConfig {
             window_packets,
             queue_depth: 4,
             shard_batch: 1024,
-            leaf_capacity: (window_packets / PAPER_LEAF_COUNT).max(1024),
+            leaf_capacity: leaf_capacity(window_packets),
             worker_delay_micros: 0,
             memory_budget: None,
             spill_dir: None,
@@ -661,41 +661,22 @@ fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowS
     }
 }
 
-/// Fold already-sorted leaves through either the in-memory hierarchical
-/// accumulator or, when a budget is configured, the out-of-core
-/// [`SpillAccumulator`]. Returns the matrix, the pre-finalize carry-merge
-/// count (identical between the two paths — both fold the same binary
-/// counter), and the spill report when the out-of-core path ran.
+/// Fold already-sorted leaves through the window fold (spilling when a
+/// budget is configured). Returns the matrix, the pre-finalize carry-merge
+/// count, and the spill report when the fold spilled.
 fn fold_window(
     leaves: Vec<(usize, u64, Csr<u64>)>,
     fold: &FoldConfig,
 ) -> (Csr<u64>, u64, Option<SpillReport>) {
-    if let Some(budget) = fold.memory_budget {
-        // A spill directory that cannot be created degrades to the
-        // in-memory fold rather than dropping the window: the matrix is
-        // bit-identical either way, only the footprint differs.
-        let base =
-            fold.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-        if let Ok(medium) = DirMedium::create_in(&base) {
-            let config = SpillConfig {
-                leaf_capacity: fold.leaf_capacity,
-                memory_budget: Some(budget),
-                ..SpillConfig::default()
-            };
-            let mut acc = SpillAccumulator::new(config, Arc::new(medium));
+    let mut merges = 0;
+    let (matrix, spill) =
+        window_fold(fold.leaf_capacity, fold.memory_budget, fold.spill_dir.as_deref(), |acc| {
             for (_, _, csr) in leaves {
                 acc.push_csr_leaf(csr);
             }
-            let (matrix, report) = acc.finalize();
-            return (matrix, report.stats.carry_merges, Some(report));
-        }
-    }
-    let mut acc = HierarchicalAccumulator::<u64>::with_leaf_capacity(fold.leaf_capacity);
-    for (_, _, csr) in leaves {
-        acc.push_csr_leaf(csr);
-    }
-    let stats = acc.stats();
-    (acc.finalize(), stats.merges, None)
+            merges = acc.stats().carry_merges;
+        });
+    (matrix, merges, spill)
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! traffic matrix — with every analysis quantity intact.
 
 use obscor::hypersparse::reduce::NetworkQuantities;
-use obscor::hypersparse::HierarchicalAccumulator;
+use obscor::hypersparse::{HierarchicalAccumulator, MemMedium};
 use obscor::netmodel::Scenario;
 use obscor::pcap::{PcapReader, PcapWriter};
 use obscor::telescope::{capture_window, matrix};
+use std::sync::Arc;
 
 #[test]
 fn window_to_pcap_and_back_preserves_the_matrix() {
@@ -25,12 +26,16 @@ fn window_to_pcap_and_back_preserves_the_matrix() {
     let packets = PcapReader::new(&bytes).unwrap().read_all().unwrap();
     assert_eq!(packets.len(), s.n_v);
     let mut acc = HierarchicalAccumulator::with_leaf_capacity(2048);
+    let mut spilled =
+        HierarchicalAccumulator::spilling(2048, Some(0), Arc::new(MemMedium::new()));
     for p in &packets {
         acc.push_edge(p.src.0, p.dst.0);
+        spilled.push_edge(p.src.0, p.dst.0);
     }
     let restored = acc.finalize();
 
     assert_eq!(original, restored, "matrices must be bit-identical");
+    assert_eq!(spilled.finalize(), restored, "a spilling rebuild must be bit-identical");
     assert_eq!(
         NetworkQuantities::compute(&original),
         NetworkQuantities::compute(&restored)

@@ -1,32 +1,34 @@
-//! Integration: the ingest fast-path and streaming metrics are *opt-in*.
+//! Integration: the ingest fast-path and streaming metrics are *opt-in*,
+//! and the spill metrics follow from spilling.
 //!
 //! The default 88-name schema is pinned byte-for-byte by
 //! `tests/metrics_schema.rs`; this binary (a separate process, so the
-//! enable flags cannot leak into that pin) proves the two halves of the
-//! opt-in contract:
+//! enable flags cannot leak into that pin) proves three things:
 //!
-//! 1. with the flags off, the fast paths emit **nothing** under
-//!    `hypersparse.radix.*` / `hypersparse.spill.*` /
+//! 1. with the flags off, the fast paths and an in-memory fold emit
+//!    **nothing** under `hypersparse.radix.*` / `hypersparse.spill.*` /
 //!    `anonymize.cache.*` / `assoc.bitset.*` / `telescope.ingest.*` /
-//!    `ingest.backpressure.*`, and
-//! 2. once [`obscor::hypersparse::radix::enable_metrics`],
-//!    [`obscor::hypersparse::spill::enable_spill_metrics`],
+//!    `ingest.backpressure.*`,
+//! 2. with the flags still off, a spilling fold emits exactly the
+//!    documented `hypersparse.spill.*` name set — only a spilling fold has
+//!    a spill store, so no switch guards those names — and
+//! 3. once [`obscor::hypersparse::radix::enable_metrics`],
 //!    [`obscor::anonymize::memo::enable_cache_metrics`],
 //!    [`obscor::assoc::bitset::enable_bitset_metrics`], and
 //!    [`obscor::telescope::stream::enable_ingest_metrics`] are called,
-//!    the exact documented name set appears — and nothing else.
+//!    the exact documented opt-in name set appears — and nothing else.
 
 use obscor::anonymize::memo::{self, MemoCryptoPan};
 use obscor::assoc::{bitset, BitSet};
-use obscor::hypersparse::spill::{self, MemMedium, SpillAccumulator, SpillConfig};
-use obscor::hypersparse::{radix, Coo};
+use obscor::hypersparse::spill::MemMedium;
+use obscor::hypersparse::{radix, Coo, HierarchicalAccumulator};
 use obscor::telescope::{stream, IngestConfig, IngestService};
 use std::sync::Arc;
 
 /// Every opt-in name, sorted — the schema-pin strategy applied to the
 /// fast-path metrics (a new name must be added here and to DESIGN.md §12
 /// deliberately).
-const OPTIN_NAMES: [&str; 31] = [
+const OPTIN_NAMES: [&str; 21] = [
     "anonymize.cache.batch_dup_hits_total",
     "anonymize.cache.prefix_hits_total",
     "anonymize.cache.suffix_aes_total",
@@ -41,34 +43,41 @@ const OPTIN_NAMES: [&str; 31] = [
     "hypersparse.radix.digit_passes_total",
     "hypersparse.radix.keys_total",
     "hypersparse.radix.skipped_digits_total",
-    "hypersparse.spill.bytes_read_total",
-    "hypersparse.spill.bytes_written_total",
-    "hypersparse.spill.evictions_total",
-    "hypersparse.spill.reloads_total",
     "ingest.backpressure.blocked",
     "span.hypersparse.radix.digit_passes.calls_total",
     "span.hypersparse.radix.digit_passes.ns",
-    "span.hypersparse.spill.merge.level0.calls_total",
-    "span.hypersparse.spill.merge.level0.ns",
-    "span.hypersparse.spill.merge.level1.calls_total",
-    "span.hypersparse.spill.merge.level1.ns",
-    "span.hypersparse.spill.merge.level2.calls_total",
-    "span.hypersparse.spill.merge.level2.ns",
     "telescope.ingest.leaves_total",
     "telescope.ingest.merges_total",
     "telescope.ingest.packets_total",
     "telescope.ingest.windows_closed_total",
 ];
 
+/// Every spill name the 8-leaf zero-budget fold below emits, sorted: the
+/// store's four counters and one span per carry level it merges at.
+const SPILL_NAMES: [&str; 10] = [
+    "hypersparse.spill.bytes_read_total",
+    "hypersparse.spill.bytes_written_total",
+    "hypersparse.spill.evictions_total",
+    "hypersparse.spill.reloads_total",
+    "span.hypersparse.spill.merge.level0.calls_total",
+    "span.hypersparse.spill.merge.level0.ns",
+    "span.hypersparse.spill.merge.level1.calls_total",
+    "span.hypersparse.spill.merge.level1.ns",
+    "span.hypersparse.spill.merge.level2.calls_total",
+    "span.hypersparse.spill.merge.level2.ns",
+];
+
 fn is_optin(name: &str) -> bool {
     name.starts_with("hypersparse.radix.")
-        || name.starts_with("hypersparse.spill.")
         || name.starts_with("anonymize.cache.")
         || name.starts_with("assoc.bitset.")
         || name.starts_with("span.hypersparse.radix.")
-        || name.starts_with("span.hypersparse.spill.")
         || name.starts_with("telescope.ingest.")
         || name.starts_with("ingest.backpressure.")
+}
+
+fn is_spill(name: &str) -> bool {
+    name.starts_with("hypersparse.spill.") || name.starts_with("span.hypersparse.spill.")
 }
 
 /// Drive every fast path far enough to touch all opt-in metric sites:
@@ -111,19 +120,17 @@ fn exercise_bitset() {
     assert_eq!(a.overlap_count(&b), 8191);
 }
 
-/// Drive the out-of-core fold through every `hypersparse.spill.*` site
-/// with a *deterministic* name footprint: exactly 8 leaves under a zero
-/// budget evict/reload every carry and merge at carry levels 0, 1, and 2
-/// only (the finalize step sees a single part, so no tree merge adds a
-/// level name).
+/// Drive a spilling fold through every `hypersparse.spill.*` site with a
+/// *deterministic* name footprint: exactly 8 leaves under a zero budget
+/// evict/reload every carry and merge at carry levels 0, 1, and 2 only
+/// (the finalize step sees a single part, so no tree merge adds a level
+/// name).
 fn exercise_spilled_fold() {
-    let config =
-        SpillConfig { leaf_capacity: 4, memory_budget: Some(0), ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::<u64>::new(config, Arc::new(MemMedium::new()));
+    let mut acc = HierarchicalAccumulator::<u64>::spilling(4, Some(0), Arc::new(MemMedium::new()));
     for i in 0..32u32 {
         acc.push_edge(i % 8, i % 3);
     }
-    let (m, report) = acc.finalize();
+    let (m, report) = acc.finalize_with_report();
     assert!(m.nnz() > 0);
     assert!(report.is_exact());
     assert_eq!(report.stats.leaves, 8);
@@ -156,37 +163,64 @@ fn exercise_streaming_ingest() {
     assert!(snaps.iter().any(|s| s.merges > 0), "need a carry merge to exercise merges_total");
 }
 
-/// One test for both phases: the flags are process-global, so the
-/// off-phase must observably complete before anything enables them.
+/// One test for every phase: the flags are process-global, so the
+/// off-phases must observably complete before anything enables them.
 #[test]
 fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
-    // Phase 1: flags off — the fast paths run silent.
+    // Phase 1: flags off — the fast paths and an in-memory fold run silent.
     let before = obscor_obs::snapshot();
     exercise_fast_paths();
     exercise_bitset();
-    exercise_spilled_fold();
     exercise_streaming_ingest();
     let silent = obscor_obs::snapshot().delta_since(&before);
     let leaked: Vec<String> =
-        silent.metric_names().into_iter().filter(|n| is_optin(n)).collect();
-    assert!(leaked.is_empty(), "opt-in metrics leaked while disabled: {leaked:?}");
+        silent.metric_names().into_iter().filter(|n| is_optin(n) || is_spill(n)).collect();
+    assert!(leaked.is_empty(), "opt-in or spill metrics leaked while disabled: {leaked:?}");
 
-    // Phase 2: flags on — the exact documented set appears.
+    // Phase 2: flags still off — a spilling fold emits exactly its spill
+    // names, and no opt-in name.
+    let before = obscor_obs::snapshot();
+    exercise_spilled_fold();
+    let spilled = obscor_obs::snapshot().delta_since(&before);
+    let names = spilled.metric_names();
+    let got: Vec<&str> = names.iter().map(String::as_str).filter(|n| is_spill(n)).collect();
+    assert_eq!(got, SPILL_NAMES, "spill metric names drifted");
+    assert!(!names.iter().any(|n| is_optin(n)), "a spilling fold emitted opt-in names");
+    // Every byte written was read back (nothing is left stranded on the
+    // medium), and the per-level merge timings match the 4 + 2 + 1
+    // carry-merge shape of an 8-leaf fold exactly.
+    assert!(spilled.counters["hypersparse.spill.evictions_total"] >= 8);
+    assert!(spilled.counters["hypersparse.spill.reloads_total"] >= 7);
+    assert!(spilled.counters["hypersparse.spill.bytes_written_total"] >= 1);
+    assert_eq!(
+        spilled.counters["hypersparse.spill.bytes_read_total"],
+        spilled.counters["hypersparse.spill.bytes_written_total"]
+    );
+    for (level, calls) in [(0u32, 4u64), (1, 2), (2, 1)] {
+        let name = format!("span.hypersparse.spill.merge.level{level}");
+        assert_eq!(spilled.counters[&format!("{name}.calls_total")], calls, "{name}");
+        assert_eq!(spilled.histograms[&format!("{name}.ns")].count, calls, "{name}");
+    }
+
+    // Phase 3: flags on — the exact documented opt-in set appears.
     radix::enable_metrics();
-    spill::enable_spill_metrics();
     memo::enable_cache_metrics();
     bitset::enable_bitset_metrics();
     stream::enable_ingest_metrics();
     let before = obscor_obs::snapshot();
     exercise_fast_paths();
     exercise_bitset();
-    exercise_spilled_fold();
     exercise_streaming_ingest();
     let enabled = obscor_obs::snapshot().delta_since(&before);
     let got: Vec<String> =
         enabled.metric_names().into_iter().filter(|n| is_optin(n)).collect();
     let got: Vec<&str> = got.iter().map(String::as_str).collect();
     assert_eq!(got, OPTIN_NAMES, "opt-in metric names drifted");
+    // Phase 2 registered the spill names, so they are in this delta too;
+    // none may have moved.
+    let spill_moved = enabled.counters.iter().any(|(n, &v)| is_spill(n) && v > 0)
+        || enabled.histograms.iter().any(|(n, h)| is_spill(n) && h.count > 0);
+    assert!(!spill_moved, "the opt-in switches turned on spill metrics without a spilling fold");
 
     // The counters carry real work, and the span algebra holds.
     assert!(enabled.counters["hypersparse.radix.keys_total"] >= 40_000);
@@ -207,21 +241,6 @@ fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
         enabled.histograms["span.hypersparse.radix.digit_passes.ns"].count,
         enabled.counters["span.hypersparse.radix.digit_passes.calls_total"]
     );
-    // The spilled fold: every byte written was read back (nothing is
-    // left stranded on the medium), and the per-level merge timings
-    // match the 4 + 2 + 1 carry-merge shape of an 8-leaf fold exactly.
-    assert!(enabled.counters["hypersparse.spill.evictions_total"] >= 8);
-    assert!(enabled.counters["hypersparse.spill.reloads_total"] >= 7);
-    assert!(enabled.counters["hypersparse.spill.bytes_written_total"] >= 1);
-    assert_eq!(
-        enabled.counters["hypersparse.spill.bytes_read_total"],
-        enabled.counters["hypersparse.spill.bytes_written_total"]
-    );
-    for (level, calls) in [(0u32, 4u64), (1, 2), (2, 1)] {
-        let name = format!("span.hypersparse.spill.merge.level{level}");
-        assert_eq!(enabled.counters[&format!("{name}.calls_total")], calls, "{name}");
-        assert_eq!(enabled.histograms[&format!("{name}.ns")].count, calls, "{name}");
-    }
     // Streaming ingest: exact totals for the 64-packet run above.
     assert_eq!(enabled.counters["telescope.ingest.windows_closed_total"], 2);
     assert_eq!(enabled.counters["telescope.ingest.packets_total"], 64);

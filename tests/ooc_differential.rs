@@ -1,21 +1,21 @@
 //! Differential tests of the out-of-core window build (DESIGN.md §16).
 //!
-//! Three independent constructions of the same window matrix are compared
-//! for every point of a (window size, leaf capacity, memory budget) grid
-//! and under randomized geometry/budget schedules:
+//! The one window fold, `HierarchicalAccumulator`, is checked against the
+//! one-shot test oracle `accumulate_flat` (sort the whole multiset) for
+//! every point of a (window size, leaf capacity, memory budget) grid and
+//! under randomized geometry/budget schedules, in both of its modes:
 //!
-//! 1. `accumulate_flat` — the one-shot oracle (sort the whole multiset),
-//! 2. `HierarchicalAccumulator` — the in-memory binary-counter fold,
-//! 3. `SpillAccumulator` — the budgeted fold, evicting carry-level CSR
-//!    parts to the spill medium and reloading them on demand.
+//! 1. in memory (`with_leaf_capacity`), every carry part resident,
+//! 2. spilling (`spilling`), evicting carry-level CSR parts to the spill
+//!    medium and reloading them on demand.
 //!
-//! All three must agree bit for bit (and on every Table II network
+//! The three builds must agree bit for bit (and on every Table II network
 //! quantity), including under budgets that force an eviction on every
 //! carry and budgets that change mid-stream.
 
 use obscor::hypersparse::hier::{accumulate_flat, HierarchicalAccumulator};
 use obscor::hypersparse::reduce::NetworkQuantities;
-use obscor::hypersparse::spill::{MemMedium, SpillAccumulator, SpillConfig};
+use obscor::hypersparse::spill::MemMedium;
 use obscor::hypersparse::Csr;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -46,19 +46,22 @@ fn in_memory(pairs: &[(u32, u32)], leaf_capacity: usize) -> Csr<u64> {
     acc.finalize()
 }
 
-/// The spilled build over a [`MemMedium`], returning the matrix and the
-/// run's spill statistics.
+/// A spilling fold over a [`MemMedium`].
+fn spilling(leaf_capacity: usize, budget: Option<u64>) -> HierarchicalAccumulator<u64> {
+    HierarchicalAccumulator::spilling(leaf_capacity, budget, Arc::new(MemMedium::new()))
+}
+
+/// The spilled build, returning the matrix and the run's spill report.
 fn spilled(
     pairs: &[(u32, u32)],
     leaf_capacity: usize,
     budget: Option<u64>,
 ) -> (Csr<u64>, obscor::hypersparse::SpillReport) {
-    let config = SpillConfig { leaf_capacity, memory_budget: budget, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+    let mut acc = spilling(leaf_capacity, budget);
     for &(s, d) in pairs {
         acc.push_edge(s, d);
     }
-    acc.finalize()
+    acc.finalize_with_report()
 }
 
 #[test]
@@ -108,8 +111,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
     // at packet-count checkpoints that do not align with leaf boundaries.
     let schedule: &[(usize, Option<u64>)] =
         &[(0, None), (1_234, Some(0)), (3_000, Some(64 << 10)), (5_678, Some(1))];
-    let config = SpillConfig { leaf_capacity: 100, memory_budget: None, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+    let mut acc = spilling(100, None);
     let mut next = 0usize;
     for (i, &(s, d)) in p.iter().enumerate() {
         if next < schedule.len() && schedule[next].0 == i {
@@ -118,7 +120,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
         }
         acc.push_edge(s, d);
     }
-    let (m, report) = acc.finalize();
+    let (m, report) = acc.finalize_with_report();
     assert_eq!(m, oracle);
     assert!(report.is_exact(), "{report:?}");
     assert!(report.stats.evictions > 0, "the starved phases must have evicted");
@@ -181,12 +183,7 @@ proptest! {
         let n = rng.random_range(1usize..3_000);
         let leaf = rng.random_range(1usize..=256);
         let p = pairs(n, seed.rotate_left(17));
-        let config = SpillConfig {
-            leaf_capacity: leaf,
-            memory_budget: Some(rng.random_range(0u64..1024)),
-            ..SpillConfig::default()
-        };
-        let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+        let mut acc = spilling(leaf, Some(rng.random_range(0u64..1024)));
         for &(s, d) in &p {
             if rng.random_range(0u32..100) == 0 {
                 let next = match rng.random_range(0u32..3) {
@@ -198,7 +195,7 @@ proptest! {
             }
             acc.push_edge(s, d);
         }
-        let (m, report) = acc.finalize();
+        let (m, report) = acc.finalize_with_report();
         prop_assert_eq!(&m, &flat(&p));
         prop_assert!(report.is_exact());
     }
