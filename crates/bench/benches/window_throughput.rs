@@ -89,7 +89,7 @@ fn ingest_report(n_v: usize, seed: u64) {
     let compaction = Comparison {
         name: "compaction_serial_vs_radix",
         baseline_ns: median_ns(INGEST_REPS, || proto.clone().into_csr_serial()),
-        fast_ns: median_ns(INGEST_REPS, || proto.clone().into_csr_radix()),
+        fast_ns: median_ns(INGEST_REPS, || proto.clone().into_csr()),
     };
 
     // 2. CryptoPAN: 32-AES scalar vs the 16-AES prefix-table path,

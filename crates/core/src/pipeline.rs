@@ -304,31 +304,29 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             use obscor_hypersparse::reduce;
             let _s = obscor_obs::span("stage.fig2");
             let label = &windows[0].label;
+            let source_fan_out = binned_distribution(
+                label,
+                reduce::source_fan_out(m).into_iter().map(|(_, d)| d),
+                config,
+            );
+            // One column sort serves both destination distributions. Fig 2
+            // runs at the pipeline's RSS high-water mark, so the sort is
+            // read into two exact-size vectors and dropped before the fits
+            // run; holding it through them measurably raised peak RSS.
+            let columns = reduce::Columns::new(m);
+            let n = columns.iter().count();
+            let (mut fan_in, mut packets) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for (_, p, f) in columns.iter() {
+                fan_in.push(f);
+                packets.push(p);
+            }
+            drop(columns);
+            let destination_fan_in = binned_distribution(label, fan_in, config);
+            let destination_packets = binned_distribution(label, packets, config);
             vec![
-                (
-                    "source fan-out".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::source_fan_out(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
-                (
-                    "destination fan-in".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::destination_fan_in(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
-                (
-                    "destination packets".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::destination_packets(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
+                ("source fan-out".to_string(), source_fan_out),
+                ("destination fan-in".to_string(), destination_fan_in),
+                ("destination packets".to_string(), destination_packets),
                 (
                     "link packets".to_string(),
                     binned_distribution(

@@ -99,9 +99,10 @@ impl<V: Value> Coo<V> {
     }
 
     /// Compact into an immutable hypersparse CSR matrix with the radix
-    /// kernel ([`Coo::into_csr_radix`]).
+    /// kernel: an LSD counting sort over the packed key's byte digits with a
+    /// fused dedup-sum final scatter (see [`crate::radix`]).
     pub fn into_csr(self) -> Csr<V> {
-        let csr = self.into_csr_radix();
+        let csr = crate::radix::compact_into_csr(self.rows, self.cols, self.vals);
         #[cfg(feature = "strict-invariants")]
         {
             if let Err(msg) = csr.check_invariants() {
@@ -125,12 +126,6 @@ impl<V: Value> Coo<V> {
         triples.sort_unstable_by_key(|&(r, c, _)| pack_key(r, c));
         dedup_sorted(&mut triples);
         Csr::from_sorted_dedup_triples(triples)
-    }
-
-    /// Radix compaction: LSD counting sort over the packed key's byte
-    /// digits with a fused dedup-sum final scatter (see [`crate::radix`]).
-    pub fn into_csr_radix(self) -> Csr<V> {
-        crate::radix::compact_into_csr(self.rows, self.cols, self.vals)
     }
 }
 
@@ -211,7 +206,7 @@ mod tests {
             a.push(r, c, 1);
             b.push(r, c, 1);
         }
-        assert_eq!(a.into_csr_serial(), b.into_csr_radix());
+        assert_eq!(a.into_csr_serial(), b.into_csr());
     }
 
     #[test]

@@ -164,8 +164,6 @@ impl<V: Value> Csr<V> {
     }
 
     /// Transpose, producing a matrix whose rows are this matrix's columns.
-    /// Used to compute destination-side quantities (fan-in, destination
-    /// packets) with the same row-side kernels.
     pub fn transpose(&self) -> Csr<V> {
         let mut coo = crate::Coo::with_capacity(self.nnz());
         for (r, c, v) in self.iter() {

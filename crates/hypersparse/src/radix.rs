@@ -246,7 +246,7 @@ mod tests {
 
     fn via_radix(triples: Vec<(Index, Index, u64)>) -> Csr<u64> {
         let coo = Coo::from_triples(triples);
-        coo.into_csr_radix()
+        coo.into_csr()
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::csr::Csr;
 use crate::value::Value;
 use crate::Index;
-use rayon::prelude::*;
 
 /// Valid packets `N_V = Σ_i Σ_j A_t(i, j)` (matrix notation `1' A_t 1`).
 pub fn valid_packets<V: Value>(a: &Csr<V>) -> u64 {
@@ -41,35 +40,6 @@ pub fn source_packets<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
         .collect()
 }
 
-/// Parallel variant of [`source_packets`] for large windows.
-pub fn source_packets_par<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    let n = a.n_rows();
-    (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let (_, vals) = a.row_at(i);
-            (a.row_keys()[i], vals.iter().map(|v| v.to_u64()).sum())
-        })
-        .collect()
-}
-
-/// Row count at which [`source_packets_auto`] switches to the parallel
-/// row-sum path.
-pub const PAR_ROW_SUM_THRESHOLD: usize = 1 << 14;
-
-/// [`source_packets`] with automatic serial/parallel selection: windows
-/// with at least [`PAR_ROW_SUM_THRESHOLD`] occupied rows go through
-/// [`source_packets_par`], smaller ones stay serial. Both paths emit one
-/// entry per occupied row in ascending row-key order, so the choice is
-/// invisible to callers.
-pub fn source_packets_auto<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    if a.n_rows() >= PAR_ROW_SUM_THRESHOLD {
-        source_packets_par(a)
-    } else {
-        source_packets(a)
-    }
-}
-
 /// Max source packets `max_i Σ_j A_t(i, j)` (`max(A_t 1)`).
 pub fn max_source_packets<V: Value>(a: &Csr<V>) -> u64 {
     a.iter_rows()
@@ -89,53 +59,70 @@ pub fn max_source_fan_out<V: Value>(a: &Csr<V>) -> u64 {
     a.iter_rows().map(|(_, cols, _)| cols.len() as u64).max().unwrap_or(0)
 }
 
+/// The destination side of a matrix: its `(column, value)` pairs sorted by
+/// column once and read as ascending per-column runs. Every column-side
+/// quantity of Table II (`1' A_t`, `1' |A_t|_0` and their maxima) folds from
+/// [`Columns::iter`], so a window pays for one column sort. No transpose is
+/// built: only one `(column, value)` pair per stored entry is held.
+#[derive(Clone, Debug)]
+pub struct Columns {
+    pairs: Vec<(Index, u64)>,
+}
+
+impl Columns {
+    /// Gather `(j, A_t(i, j))` for every stored entry and sort by `j`.
+    pub fn new<V: Value>(a: &Csr<V>) -> Self {
+        let mut pairs: Vec<(Index, u64)> = a
+            .col_indices()
+            .iter()
+            .zip(a.values())
+            .map(|(&j, v)| (j, v.to_u64()))
+            .collect();
+        pairs.sort_unstable_by_key(|&(j, _)| j);
+        Self { pairs }
+    }
+
+    /// One `(j, Σ_i A_t(i, j), Σ_i |A_t(i, j)|_0)` per occupied column, in
+    /// ascending `j`.
+    pub fn iter(&self) -> impl Iterator<Item = (Index, u64, u64)> + '_ {
+        self.pairs.chunk_by(|x, y| x.0 == y.0).map(|run| {
+            (run[0].0, run.iter().map(|&(_, v)| v).sum(), run.len() as u64)
+        })
+    }
+
+    /// The pairs are sorted by column, so every column is one run.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        match self.pairs.windows(2).position(|w| w[0].0 > w[1].0) {
+            Some(k) => Err(format!("column pairs out of order at {k}")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Unique destinations `Σ_j |Σ_i A_t(i, j)|_0` (`|1' A_t|_0 1` column side).
 pub fn unique_destinations<V: Value>(a: &Csr<V>) -> u64 {
-    distinct_cols(a) as u64
+    Columns::new(a).iter().count() as u64
 }
 
 /// Packets to each destination: `(j, Σ_i A_t(i, j))` (`1' A_t`).
 pub fn destination_packets<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    col_reduce(a, |_cols, v| v.to_u64())
+    Columns::new(a).iter().map(|(j, packets, _)| (j, packets)).collect()
 }
 
 /// Max destination packets `max_j Σ_i A_t(i, j)` (`max(1' A_t)`).
 pub fn max_destination_packets<V: Value>(a: &Csr<V>) -> u64 {
-    destination_packets(a).into_iter().map(|(_, v)| v).max().unwrap_or(0)
+    Columns::new(a).iter().map(|(_, packets, _)| packets).max().unwrap_or(0)
 }
 
 /// Destination fan-in to each destination: `(j, Σ_i |A_t(i, j)|_0)`
 /// (`1' |A_t|_0`): the number of distinct sources hitting each destination.
 pub fn destination_fan_in<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    col_reduce(a, |_cols, _v| 1u64)
+    Columns::new(a).iter().map(|(j, _, fan_in)| (j, fan_in)).collect()
 }
 
 /// Max destination fan-in `max_j Σ_i |A_t(i, j)|_0` (`max(1' |A_t|_0)`).
 pub fn max_destination_fan_in<V: Value>(a: &Csr<V>) -> u64 {
-    destination_fan_in(a).into_iter().map(|(_, v)| v).max().unwrap_or(0)
-}
-
-/// Column-side reduction without materializing the transpose: gather
-/// `(col, f(entry))` pairs, sort by column, and sum runs.
-fn col_reduce<V: Value, F: Fn(Index, V) -> u64>(a: &Csr<V>, f: F) -> Vec<(Index, u64)> {
-    let mut pairs: Vec<(Index, u64)> =
-        a.iter().map(|(_, c, v)| (c, f(c, v))).collect();
-    pairs.sort_unstable_by_key(|&(c, _)| c);
-    let mut out: Vec<(Index, u64)> = Vec::new();
-    for (c, v) in pairs {
-        match out.last_mut() {
-            Some((lc, acc)) if *lc == c => *acc += v,
-            _ => out.push((c, v)),
-        }
-    }
-    out
-}
-
-fn distinct_cols<V: Value>(a: &Csr<V>) -> usize {
-    let mut cols: Vec<Index> = a.col_indices().to_vec();
-    cols.sort_unstable();
-    cols.dedup();
-    cols.len()
+    Columns::new(a).iter().map(|(_, _, fan_in)| fan_in).max().unwrap_or(0)
 }
 
 /// All Table II aggregates in one pass-friendly struct, in the order the
@@ -163,8 +150,13 @@ pub struct NetworkQuantities {
 }
 
 impl NetworkQuantities {
-    /// Compute every aggregate quantity of Table II from one matrix.
+    /// Compute every aggregate quantity of Table II from one matrix; the
+    /// three destination-side fields fold from one [`Columns`] pass.
     pub fn compute<V: Value>(a: &Csr<V>) -> Self {
+        let (unique_destinations, max_destination_packets, max_destination_fan_in) =
+            Columns::new(a).iter().fold((0, 0, 0), |(n, p, f), (_, packets, fan_in)| {
+                (n + 1, p.max(packets), f.max(fan_in))
+            });
         Self {
             valid_packets: valid_packets(a),
             unique_links: unique_links(a),
@@ -172,9 +164,9 @@ impl NetworkQuantities {
             unique_sources: unique_sources(a),
             max_source_packets: max_source_packets(a),
             max_source_fan_out: max_source_fan_out(a),
-            unique_destinations: unique_destinations(a),
-            max_destination_packets: max_destination_packets(a),
-            max_destination_fan_in: max_destination_fan_in(a),
+            unique_destinations,
+            max_destination_packets,
+            max_destination_fan_in,
         }
     }
 
@@ -280,28 +272,6 @@ mod tests {
         assert_eq!(source_fan_out(&a), vec![(1, 3), (2, 1)]);
         assert_eq!(destination_packets(&a), vec![(7, 9), (8, 1), (9, 2)]);
         assert_eq!(destination_fan_in(&a), vec![(7, 2), (8, 1), (9, 1)]);
-    }
-
-    #[test]
-    fn parallel_source_packets_agrees() {
-        let a = sample();
-        let mut par = source_packets_par(&a);
-        par.sort_unstable();
-        assert_eq!(par, source_packets(&a));
-    }
-
-    #[test]
-    fn auto_dispatch_matches_serial_on_both_sides_of_threshold() {
-        // Below the threshold: the serial arm.
-        let small = sample();
-        assert_eq!(source_packets_auto(&small), source_packets(&small));
-        // At/above the threshold: the parallel arm, same order and values.
-        let n = PAR_ROW_SUM_THRESHOLD as u32;
-        let triples: Vec<(u32, u32, u64)> =
-            (0..n).map(|i| (i, i % 7, u64::from(i % 5 + 1))).collect();
-        let big = Coo::from_triples(triples).into_csr();
-        assert!(big.n_rows() >= PAR_ROW_SUM_THRESHOLD);
-        assert_eq!(source_packets_auto(&big), source_packets(&big));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for the hypersparse matrix substrate.
 
+use obscor_hypersparse::reduce::NetworkQuantities;
 use obscor_hypersparse::{
-    hier, ops, reduce, serialize, spgemm, Coo, Csr, Dcsc, HierarchicalAccumulator, Index,
-    MemMedium,
+    hier, ops, reduce, serialize, spgemm, Coo, Csr, HierarchicalAccumulator, Index, MemMedium,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn arb_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
@@ -16,6 +17,45 @@ fn arb_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
 
 fn build(triples: &[(Index, Index, u64)]) -> Csr<u64> {
     Coo::from_triples(triples.iter().copied()).into_csr()
+}
+
+/// Reference for the column side: `BTreeMap<col, (Σ value, count)>` folded
+/// straight over the stored entries, checked against every destination
+/// function and the three column fields of `NetworkQuantities::compute`.
+fn assert_column_side_matches_naive_fold(a: &Csr<u64>) {
+    let mut naive: BTreeMap<Index, (u64, u64)> = BTreeMap::new();
+    for (_, c, v) in a.iter() {
+        let e = naive.entry(c).or_default();
+        e.0 += v;
+        e.1 += 1;
+    }
+    let packets: Vec<(Index, u64)> = naive.iter().map(|(&c, &(p, _))| (c, p)).collect();
+    let fan_in: Vec<(Index, u64)> = naive.iter().map(|(&c, &(_, f))| (c, f)).collect();
+    let max_packets = naive.values().map(|&(p, _)| p).max().unwrap_or(0);
+    let max_fan_in = naive.values().map(|&(_, f)| f).max().unwrap_or(0);
+    assert_eq!(reduce::destination_packets(a), packets);
+    assert_eq!(reduce::destination_fan_in(a), fan_in);
+    assert_eq!(reduce::unique_destinations(a), naive.len() as u64);
+    assert_eq!(reduce::max_destination_packets(a), max_packets);
+    assert_eq!(reduce::max_destination_fan_in(a), max_fan_in);
+    let q = NetworkQuantities::compute(a);
+    assert_eq!(q.unique_destinations, naive.len() as u64);
+    assert_eq!(q.max_destination_packets, max_packets);
+    assert_eq!(q.max_destination_fan_in, max_fan_in);
+}
+
+#[test]
+fn column_side_of_empty_matrix_matches_naive_fold() {
+    assert_column_side_matches_naive_fold(&Csr::empty());
+}
+
+#[test]
+fn column_side_of_paper_example_matches_naive_fold() {
+    // The paper's worked example: 3 packets 1.1.1.1 -> 2.2.2.2.
+    let a = build(&[(16843009, 33686018, 3)]);
+    assert_column_side_matches_naive_fold(&a);
+    assert_eq!(reduce::destination_packets(&a), vec![(33686018, 3)]);
+    assert_eq!(reduce::destination_fan_in(&a), vec![(33686018, 1)]);
 }
 
 /// Keys that mix the full u32 range (exercising every radix digit) with a
@@ -37,7 +77,7 @@ proptest! {
     #[test]
     fn radix_equals_serial_compaction(t in arb_radix_triples()) {
         let serial = Coo::from_triples(t.iter().copied()).into_csr_serial();
-        let radix = Coo::from_triples(t.iter().copied()).into_csr_radix();
+        let radix = Coo::from_triples(t.iter().copied()).into_csr();
         prop_assert!(radix.check_invariants().is_ok());
         prop_assert_eq!(serial, radix);
     }
@@ -58,7 +98,7 @@ proptest! {
         let radix: Csr<f64> = Coo::from_triples(
             t.iter().map(|&(r, c, v)| (r, c, signed(v))),
         )
-        .into_csr_radix();
+        .into_csr();
         prop_assert_eq!(serial, radix);
     }
 
@@ -167,15 +207,11 @@ proptest! {
         prop_assert_eq!(ops::zero_norm(&z).clone(), z);
     }
 
-    /// DCSC round-trips and answers column-side quantities identically.
+    /// The destination functions and the column fields of
+    /// `NetworkQuantities::compute` equal a naive per-column fold.
     #[test]
-    fn dcsc_round_trip_and_reductions(t in arb_triples()) {
-        let a = build(&t);
-        let d = Dcsc::from_csr(&a);
-        prop_assert_eq!(d.to_csr(), a.clone());
-        prop_assert_eq!(d.destination_packets(), reduce::destination_packets(&a));
-        prop_assert_eq!(d.destination_fan_in(), reduce::destination_fan_in(&a));
-        prop_assert_eq!(d.n_cols() as u64, reduce::unique_destinations(&a));
+    fn column_side_matches_naive_fold(t in arb_triples()) {
+        assert_column_side_matches_naive_fold(&build(&t));
     }
 
     /// Co-occurrence equals SpGEMM against the transpose (positional vs

@@ -448,8 +448,8 @@ pub fn rule_instant_timing(file: &SourceFile) -> Vec<Diagnostic> {
 
 /// Rule `key-pack`: no ad-hoc `(x as u64) << 32` key packing in the
 /// `hypersparse` crate outside `keypack.rs`. The packed `(row << 32) | col`
-/// key layout is load-bearing for the radix compaction kernel and the DCSC
-/// sort order; every construction site must go through
+/// key layout is load-bearing for the radix compaction kernel and the
+/// serial reference's sort order; every construction site must go through
 /// `keypack::pack_key` / `unpack_key` so the layout can only change in one
 /// place. A line trips when it contains both an `as u64` cast and a
 /// `<< 32` shift. The caller (`audit`) applies this to `hypersparse` only;
